@@ -81,7 +81,7 @@ Certification certify_at(const CompiledProgram& program,
   // invariant (transmissions scale linearly), so one kernel serves every
   // operating point; only the BER inside `op` changes.
   const eng::BatchRunner runner(program.kernel(), program.design_point());
-  const eng::BatchSummary summary = runner.run(request, options.threads);
+  const eng::BatchSummary summary = runner.run_nd(request, options.threads);
 
   Certification cert;
   cert.op = op;
@@ -150,7 +150,7 @@ Certification certify2_at(const CompiledProgram& program,
   request.op = op;
 
   const eng::BatchRunner runner(program.kernel(), program.design_point());
-  const eng::BatchSummary summary = runner.run(request, options.threads);
+  const eng::BatchSummary summary = runner.run_nd(request, options.threads);
 
   Certification cert;
   cert.op = op;

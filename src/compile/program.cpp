@@ -28,17 +28,13 @@ std::size_t ProgramKeyHash::operator()(const ProgramKey& key) const noexcept {
   return static_cast<std::size_t>(key.digest());
 }
 
-void CompiledProgram::build_backend(std::size_t circuit_order,
-                                    std::optional<std::size_t> order_y) {
+void CompiledProgram::build_backend(std::vector<std::size_t> orders) {
   circuit_ = std::make_shared<optsc::OpticalScCircuit>(
-      optsc::paper_defaults(circuit_order));
+      optsc::paper_defaults(orders.front()));
   // The kernel keeps a raw pointer into the circuit (for the diagnostics
   // path), so its deleter captures the circuit handle: a kernel reference
   // that outlives this program keeps the circuit alive too.
-  engine::PackedKernel* kernel =
-      order_y.has_value()
-          ? new engine::PackedKernel(*circuit_, circuit_order, *order_y)
-          : new engine::PackedKernel(*circuit_);
+  auto* kernel = new engine::PackedKernel(*circuit_, std::move(orders));
   kernel_ = std::shared_ptr<const engine::PackedKernel>(
       kernel, [circuit = circuit_](const engine::PackedKernel* k) {
         delete k;
@@ -64,7 +60,7 @@ CompiledProgram::CompiledProgram(ProgramKey key, ProjectionResult projection,
     throw std::invalid_argument(
         "CompiledProgram: degree exceeds the packed-kernel order limit");
   }
-  build_backend(run_poly_.degree(), std::nullopt);
+  build_backend({run_poly_.degree()});
 }
 
 CompiledProgram::CompiledProgram(ProgramKey key, ProjectionResult2 projection,
@@ -87,7 +83,7 @@ CompiledProgram::CompiledProgram(ProgramKey key, ProjectionResult2 projection,
     throw std::invalid_argument(
         "CompiledProgram: degree exceeds the packed-kernel order limit");
   }
-  build_backend(run_poly2_->deg_x(), run_poly2_->deg_y());
+  build_backend({run_poly2_->deg_x(), run_poly2_->deg_y()});
 }
 
 CompiledProgram::CompiledProgram(
@@ -119,7 +115,7 @@ CompiledProgram::CompiledProgram(
         "CompiledProgram: factor degree outside the packed-kernel order "
         "range");
   }
-  build_backend(order, std::nullopt);
+  build_backend({order});
 }
 
 }  // namespace oscs::compile

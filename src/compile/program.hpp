@@ -3,7 +3,7 @@
 /// \brief Codegen stage of the function compiler: a CompiledProgram binds
 ///        the quantized coefficient vector to an order-matched optical
 ///        circuit with a prebuilt packed kernel, ready to run through
-///        PackedKernel::run / BatchRunner with no further setup. Programs
+///        PackedKernel::run_nd / BatchRunner with no further setup. Programs
 ///        are immutable once certified and shared by const pointer out of
 ///        the program cache.
 
@@ -208,17 +208,11 @@ class CompiledProgram {
   /// shared out of the cache).
   void attach_certification(Certification cert) { cert_ = cert; }
 
-  /// One evaluation through the packed kernel.
+  /// One univariate evaluation through the packed kernel.
   [[nodiscard]] engine::PackedRunResult run(
       double x, const engine::PackedRunConfig& config) const {
-    return kernel_->run(run_poly_, x, config);
-  }
-
-  /// One bivariate evaluation through the packed kernel's two-input mode.
-  /// \throws std::bad_optional_access on a univariate program.
-  [[nodiscard]] engine::PackedRunResult run2(
-      double x, double y, const engine::PackedRunConfig& config) const {
-    return kernel_->run2(run_poly2_.value(), x, y, config);
+    return kernel_->run_nd(stochastic::SeparableProgram(run_poly_), {x},
+                           config);
   }
 
   /// The quantized separable program the hardware runs.
@@ -248,9 +242,9 @@ class CompiledProgram {
   }
 
  private:
-  /// Shared tail of both constructors: circuit + kernel + design point.
-  void build_backend(std::size_t circuit_order,
-                     std::optional<std::size_t> order_y);
+  /// Shared tail of the constructors: circuit (at the first-axis order)
+  /// + kernel over the per-axis `orders` + design point.
+  void build_backend(std::vector<std::size_t> orders);
 
   ProgramKey key_;
   bool bivariate_ = false;

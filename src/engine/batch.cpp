@@ -87,9 +87,10 @@ std::size_t slab_size(const BatchRequest& request, std::size_t workers,
   return std::min({by_target, by_balance, n_tasks});
 }
 
-/// Export one finished batch into the engine counters. `passes` is the
-/// number of kernel passes per (point, length, repeat) task: the
-/// per-program count for run(), 1 for the fused mode (shared stimulus).
+/// Export one finished batch into the engine counters. `passes_per_task`
+/// is the number of kernel passes per (point, length, repeat) task summed
+/// over the request's programs: see kernel_passes() for run_nd, 1 for the
+/// fused mode (shared stimulus).
 void record_batch(const BatchRequest& request, const BatchSummary& summary,
                   std::size_t passes_per_task) {
   bits_counter().inc(summary.total_bits);
@@ -101,24 +102,51 @@ void record_batch(const BatchRequest& request, const BatchSummary& summary,
   words_counter().inc(words * passes_per_task);
 }
 
-/// The unified separable view of a request: N-ary programs run as
-/// themselves, the legacy arities wrap into their dense delegation forms
-/// (bit-identical execution through PackedKernel::run_nd).
-std::vector<sc::SeparableProgram> separable_view(const BatchRequest& request) {
-  std::vector<sc::SeparableProgram> programs;
-  programs.reserve(request.program_count());
-  if (request.nd()) {
-    programs = request.programs_nd;
-  } else if (request.bivariate()) {
-    for (const sc::BernsteinPoly2& poly : request.polynomials2) {
-      programs.emplace_back(poly);
-    }
-  } else {
-    for (const sc::BernsteinPoly& poly : request.polynomials) {
-      programs.emplace_back(poly);
-    }
+/// Packed-kernel passes one run_nd evaluation of `program` makes: one
+/// dense MUX pass, or one pass per factor of every rank-1 term.
+std::size_t kernel_passes(const sc::SeparableProgram& program) {
+  if (!dense_orders(program).empty()) return 1;
+  std::size_t passes = 0;
+  for (const sc::SeparableTerm& term : program.terms()) {
+    passes += term.factors.size();
   }
-  return programs;
+  return passes;
+}
+
+/// The canonical form of a request: its programs as separable programs
+/// and its evaluation points as coordinate tuples. This is the one place
+/// the `polynomials`/`polynomials2` + `xs`/`ys` sugar is lowered (onto
+/// the dense univariate / tensor-product forms).
+struct SeparableView {
+  std::vector<sc::SeparableProgram> programs;
+  std::vector<std::vector<double>> points;
+};
+
+SeparableView separable_view(const BatchRequest& request) {
+  SeparableView view;
+  view.programs.reserve(request.program_count());
+  view.points.resize(request.points());
+  if (!request.programs_nd.empty()) {
+    view.programs = request.programs_nd;
+    for (std::size_t i = 0; i < view.points.size(); ++i) {
+      for (const std::vector<double>& axis : request.inputs) {
+        view.points[i].push_back(axis[i]);
+      }
+    }
+    return view;
+  }
+  for (const sc::BernsteinPoly& poly : request.polynomials) {
+    view.programs.emplace_back(poly);
+  }
+  for (const sc::BernsteinPoly2& poly : request.polynomials2) {
+    view.programs.emplace_back(poly);
+  }
+  for (std::size_t i = 0; i < view.points.size(); ++i) {
+    view.points[i] = request.polynomials2.empty()
+                         ? std::vector<double>{request.xs[i]}
+                         : std::vector<double>{request.xs[i], request.ys[i]};
+  }
+  return view;
 }
 
 }  // namespace
@@ -128,19 +156,6 @@ std::size_t BatchRequest::cells() const noexcept {
 }
 
 std::size_t BatchRequest::tasks() const noexcept { return cells() * repeats; }
-
-std::vector<double> BatchRequest::point(std::size_t i) const {
-  if (nd()) {
-    std::vector<double> pt;
-    pt.reserve(inputs.size());
-    for (const std::vector<double>& axis : inputs) {
-      pt.push_back(axis.at(i));
-    }
-    return pt;
-  }
-  if (bivariate()) return {xs.at(i), ys.at(i)};
-  return {xs.at(i)};
-}
 
 void BatchRequest::validate() const {
   // Shared arity-guard rendering keeps these messages in lockstep with the
@@ -156,7 +171,7 @@ void BatchRequest::validate() const {
   raise(arity::exactly_one_error(
       style, populated, "polynomials/polynomials2/programs_nd",
       "polynomials"));
-  if (nd()) {
+  if (!programs_nd.empty()) {
     if (!xs.empty() || !ys.empty()) {
       throw std::invalid_argument(
           "BatchRequest: xs/ys are only legal with polynomials/polynomials2 "
@@ -194,7 +209,7 @@ void BatchRequest::validate() const {
           "BatchRequest: inputs is only legal with programs_nd");
     }
     raise(arity::nonempty_error(style, "x", xs.size()));
-    if (bivariate()) {
+    if (!polynomials2.empty()) {
       raise(arity::pairwise_error(style, "xs", xs.size(), "ys", ys.size()));
     } else if (!ys.empty()) {
       throw std::invalid_argument(
@@ -232,11 +247,6 @@ BatchRunner::BatchRunner(const optsc::OpticalScCircuit& circuit)
     : kernel_(std::make_shared<PackedKernel>(circuit)),
       design_point_(optsc::design_operating_point(circuit)) {}
 
-BatchRunner::BatchRunner(const optsc::OpticalScCircuit& circuit,
-                         std::size_t order_x, std::size_t order_y)
-    : kernel_(std::make_shared<PackedKernel>(circuit, order_x, order_y)),
-      design_point_(optsc::design_operating_point(circuit)) {}
-
 BatchRunner::BatchRunner(std::shared_ptr<const PackedKernel> kernel,
                          oscs::OperatingPoint design_point)
     : kernel_(std::move(kernel)), design_point_(design_point) {
@@ -246,72 +256,11 @@ BatchRunner::BatchRunner(std::shared_ptr<const PackedKernel> kernel,
   design_point_.validate();
 }
 
-void BatchRunner::check_orders(const BatchRequest& request) const {
-  if (request.nd()) {
-    for (const sc::SeparableProgram& program : request.programs_nd) {
-      if (program.has_dense1()) {
-        if (kernel_->bivariate()) {
-          throw std::invalid_argument(
-              "BatchRunner: univariate request on a bivariate kernel");
-        }
-        if (program.dense1().degree() != kernel_->order()) {
-          throw std::invalid_argument(
-              "BatchRunner: polynomial order does not match the circuit");
-        }
-      } else if (program.has_dense2()) {
-        if (!kernel_->bivariate()) {
-          throw std::invalid_argument(
-              "BatchRunner: bivariate request on a univariate kernel");
-        }
-        if (program.dense2().deg_x() != kernel_->order() ||
-            program.dense2().deg_y() != kernel_->order_y()) {
-          throw std::invalid_argument(
-              "BatchRunner: polynomial orders do not match the circuit");
-        }
-      } else {
-        // General sum-of-rank-1 programs run every factor through the
-        // univariate ReSC circuit, one stream per factor.
-        if (kernel_->bivariate()) {
-          throw std::invalid_argument(
-              "BatchRunner: separable-term request on a bivariate kernel");
-        }
-        for (const sc::SeparableTerm& term : program.terms()) {
-          for (const sc::SeparableFactor& factor : term.factors) {
-            if (factor.poly.degree() != kernel_->order()) {
-              throw std::invalid_argument(
-                  "BatchRunner: factor order does not match the circuit");
-            }
-          }
-        }
-      }
-    }
-    return;
-  }
-  if (request.bivariate() != kernel_->bivariate()) {
-    throw std::invalid_argument(
-        request.bivariate()
-            ? "BatchRunner: bivariate request on a univariate kernel"
-            : "BatchRunner: univariate request on a bivariate kernel");
-  }
-  for (const sc::BernsteinPoly& poly : request.polynomials) {
-    if (poly.degree() != kernel_->order()) {
-      throw std::invalid_argument(
-          "BatchRunner: polynomial order does not match the circuit");
-    }
-  }
-  for (const sc::BernsteinPoly2& poly : request.polynomials2) {
-    if (poly.deg_x() != kernel_->order() ||
-        poly.deg_y() != kernel_->order_y()) {
-      throw std::invalid_argument(
-          "BatchRunner: polynomial orders do not match the circuit");
-    }
-  }
-}
-
 template <typename SlotFn>
 BatchSummary BatchRunner::aggregate(
     const BatchRequest& request,
     const std::vector<sc::SeparableProgram>& programs,
+    const std::vector<std::vector<double>>& points,
     const std::vector<TaskOut>& outs, const oscs::OperatingPoint& op,
     SlotFn&& slot) const {
   BatchSummary summary;
@@ -320,14 +269,12 @@ BatchSummary BatchRunner::aggregate(
       request.stream_lengths.size() == 1 ? request.stream_lengths.front() : 0);
   summary.cells.reserve(request.cells());
   const std::size_t n_lengths = request.stream_lengths.size();
-  const std::size_t n_xs = request.points();
-  summary.program_accuracy.resize(request.program_count());
-  for (std::size_t pi = 0; pi < request.program_count(); ++pi) {
+  summary.program_accuracy.resize(programs.size());
+  for (std::size_t pi = 0; pi < programs.size(); ++pi) {
     ProgramAccuracy& acc = summary.program_accuracy[pi];
-    for (std::size_t xi = 0; xi < n_xs; ++xi) {
-      const std::vector<double> point = request.point(xi);
-      // For dense delegation forms operator() is the same arithmetic the
-      // legacy per-arity paths evaluated, so roll-ups are bit-identical.
+    for (std::size_t xi = 0; xi < points.size(); ++xi) {
+      const std::vector<double>& point = points[xi];
+      // Dense forms evaluate the dense polynomial exactly.
       const double expected = programs[pi](point);
       for (std::size_t li = 0; li < n_lengths; ++li) {
         const std::size_t length = request.stream_lengths[li];
@@ -388,31 +335,28 @@ BatchSummary BatchRunner::aggregate(
 BatchSummary BatchRunner::run_nd(const BatchRequest& request,
                                  ThreadPool& pool) const {
   request.validate();
-  check_orders(request);
+  const SeparableView view = separable_view(request);
+  for (const sc::SeparableProgram& program : view.programs) {
+    kernel_->check_program(program);
+  }
   const oscs::OperatingPoint base = request.op.value_or(design_point_);
-
-  // Legacy polynomial lists wrap into dense delegation forms; the task
-  // lattice, seed derivation and kernel arithmetic below are unchanged
-  // from the historical run() body, so those requests stay bit-identical.
-  const std::vector<sc::SeparableProgram> programs = separable_view(request);
 
   const std::size_t n_tasks = request.tasks();
   std::vector<TaskOut> outs(n_tasks);
 
   // Fan the (cell, repeat) grid across the pool in contiguous-index slabs.
-  // Each task decomposes its global index t (repeat innermost - the same
-  // order the nested loops used to enqueue in), derives its seeds from t
-  // alone and writes only its own output slot, so results are independent
-  // of scheduling order, thread count and slab grain.
+  // Each task decomposes its global index t (repeat innermost), derives
+  // its seeds from t alone and writes only its own output slot, so results
+  // are independent of scheduling order, thread count and slab grain.
   const std::size_t n_lengths = request.stream_lengths.size();
-  const std::size_t n_xs = request.points();
+  const std::size_t n_xs = view.points.size();
   const std::size_t repeats = request.repeats;
   const std::size_t slab = slab_size(request, pool.size(), n_tasks, 1);
   slab_tasks_histogram().record(static_cast<double>(slab));
   pool.submit_range(
       (n_tasks + slab - 1) / slab,
-      [this, &request, &programs, &outs, &base, n_lengths, n_xs, repeats,
-       slab, n_tasks](std::size_t si) {
+      [this, &request, &view, &outs, &base, n_lengths, n_xs, repeats, slab,
+       n_tasks](std::size_t si) {
         const std::size_t end = std::min(n_tasks, (si + 1) * slab);
         for (std::size_t t = si * slab; t < end; ++t) {
           const std::size_t cell = t / repeats;
@@ -425,20 +369,24 @@ BatchSummary BatchRunner::run_nd(const BatchRequest& request,
           cfg.stimulus_seed = derive_task_seed(request.seed, t, 0);
           cfg.noise_seed = derive_task_seed(request.seed, t, 1);
           const PackedRunResult r =
-              kernel_->run_nd(programs[pi], request.point(xi), cfg);
+              kernel_->run_nd(view.programs[pi], view.points[xi], cfg);
           outs[t] = {r.optical_estimate, r.electronic_estimate,
                      r.transmission_flips};
         }
       });
   pool.wait_idle();
 
-  BatchSummary summary =
-      aggregate(request, programs, outs, base,
-                [n_xs, n_lengths, repeats](std::size_t pi, std::size_t xi,
-                                           std::size_t li, std::size_t rep) {
-                  return ((pi * n_xs + xi) * n_lengths + li) * repeats + rep;
-                });
-  record_batch(request, summary, request.program_count());
+  BatchSummary summary = aggregate(
+      request, view.programs, view.points, outs, base,
+      [n_xs, n_lengths, repeats](std::size_t pi, std::size_t xi,
+                                 std::size_t li, std::size_t rep) {
+        return ((pi * n_xs + xi) * n_lengths + li) * repeats + rep;
+      });
+  std::size_t passes = 0;
+  for (const sc::SeparableProgram& program : view.programs) {
+    passes += kernel_passes(program);
+  }
+  record_batch(request, summary, passes);
   return summary;
 }
 
@@ -448,46 +396,37 @@ BatchSummary BatchRunner::run_nd(const BatchRequest& request,
   return run_nd(request, pool);
 }
 
-BatchSummary BatchRunner::run(const BatchRequest& request,
-                              ThreadPool& pool) const {
-  return run_nd(request, pool);
-}
-
-BatchSummary BatchRunner::run(const BatchRequest& request,
-                              std::size_t threads) const {
-  ThreadPool pool(threads);
-  return run_nd(request, pool);
-}
-
 BatchSummary BatchRunner::run_fused(const BatchRequest& request,
                                     ThreadPool& pool) const {
   request.validate();
-  if (request.nd()) {
-    // Fusion shares one stimulus bank across programs of one arity; the
-    // N-ary path runs each separable term on its own factor streams.
-    throw std::invalid_argument(
-        "BatchRunner: fused mode takes polynomials/polynomials2; run "
-        "N-ary programs through run_nd");
+  const SeparableView view = separable_view(request);
+  for (const sc::SeparableProgram& program : view.programs) {
+    // Fusion shares one stimulus bank across dense programs; a
+    // sum-of-rank-1 program runs each term on its own factor streams.
+    if (dense_orders(program).empty()) {
+      throw std::invalid_argument(
+          "BatchRunner: fused mode takes dense programs; run separable-term "
+          "programs through run_nd");
+    }
+    kernel_->check_program(program);
   }
-  check_orders(request);
   const oscs::OperatingPoint base = request.op.value_or(design_point_);
 
-  const std::size_t n_programs = request.program_count();
+  const std::size_t n_programs = view.programs.size();
   const std::size_t n_lengths = request.stream_lengths.size();
-  const std::size_t n_xs = request.xs.size();
-  const std::size_t n_tasks = n_xs * n_lengths * request.repeats;
+  const std::size_t n_tasks = view.points.size() * n_lengths * request.repeats;
   std::vector<TaskOut> outs(n_tasks * n_programs);
 
   // One task per (point, length, repeat): a single fused kernel pass
-  // evaluates every program on shared data streams (both input banks in
-  // the bivariate mode) and one flip mask, then scatters into per-program
-  // slots. Tasks go out in contiguous-index slabs, same contract as run().
+  // evaluates every program on shared data streams (one bank per axis)
+  // and one flip mask, then scatters into per-program slots. Tasks go out
+  // in contiguous-index slabs, same contract as run_nd().
   const std::size_t repeats = request.repeats;
   const std::size_t slab = slab_size(request, pool.size(), n_tasks, n_programs);
   slab_tasks_histogram().record(static_cast<double>(slab));
   pool.submit_range(
       (n_tasks + slab - 1) / slab,
-      [this, &request, &outs, &base, n_lengths, repeats, slab, n_tasks,
+      [this, &request, &view, &outs, &base, n_lengths, repeats, slab, n_tasks,
        n_programs](std::size_t si) {
         const std::size_t end = std::min(n_tasks, (si + 1) * slab);
         for (std::size_t t = si * slab; t < end; ++t) {
@@ -499,11 +438,7 @@ BatchSummary BatchRunner::run_fused(const BatchRequest& request,
           cfg.stimulus_seed = derive_task_seed(request.seed, t, 0);
           cfg.noise_seed = derive_task_seed(request.seed, t, 1);
           const std::vector<PackedRunResult> results =
-              request.bivariate()
-                  ? kernel_->run2_fused(request.polynomials2, request.xs[xi],
-                                        request.ys[xi], cfg)
-                  : kernel_->run_fused(request.polynomials, request.xs[xi],
-                                       cfg);
+              kernel_->run_fused(view.programs, view.points[xi], cfg);
           for (std::size_t pi = 0; pi < n_programs; ++pi) {
             const PackedRunResult& r = results[pi];
             outs[t * n_programs + pi] = {r.optical_estimate,
@@ -515,7 +450,7 @@ BatchSummary BatchRunner::run_fused(const BatchRequest& request,
   pool.wait_idle();
 
   BatchSummary summary = aggregate(
-      request, separable_view(request), outs, base,
+      request, view.programs, view.points, outs, base,
       [n_lengths, repeats, n_programs](std::size_t pi, std::size_t xi,
                                        std::size_t li, std::size_t rep) {
         const std::size_t t = (xi * n_lengths + li) * repeats + rep;

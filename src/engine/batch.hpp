@@ -31,26 +31,24 @@
 
 namespace oscs::engine {
 
-/// A grid of evaluations: every polynomial at every evaluation point at
+/// A grid of evaluations: every program at every evaluation point at
 /// every stream length, each repeated `repeats` times with decorrelated
 /// streams.
 ///
-/// Three arities, selected by which program list is populated:
-///   * univariate - `polynomials` set, `ys` empty: the grid crosses every
-///     polynomial with every x in `xs`;
-///   * bivariate  - `polynomials2` set (tensor-product programs): `ys`
-///     must pair element-wise with `xs`, so the evaluation points are the
-///     (xs[i], ys[i]) PAIRS, not a cross product;
-///   * N-ary      - `programs_nd` set (sum-of-separable programs):
-///     `inputs` carries one column per input axis, all element-wise
-///     paired, so the evaluation points are the tuples
-///     (inputs[0][i], ..., inputs[N-1][i]).
+/// The canonical form is `programs_nd` (separable programs, dense or
+/// sum-of-rank-1) over `inputs` (one column per input axis, all
+/// element-wise paired, so the evaluation points are the tuples
+/// (inputs[0][i], ..., inputs[N-1][i])). Two spellings are sugar for the
+/// dense forms and are lowered onto it before anything runs:
+///   * `polynomials` over `xs` - univariate programs, one point per x;
+///   * `polynomials2` over `xs`/`ys` paired element-wise - tensor-product
+///     programs at the (xs[i], ys[i]) PAIRS, not a cross product.
 /// Exactly one of `polynomials`/`polynomials2`/`programs_nd` may be
 /// nonempty; `ys` is only legal (and then mandatory, same length as
-/// `xs`) in the bivariate form, and `inputs` only in the N-ary form -
+/// `xs`) with `polynomials2`, and `inputs` only with `programs_nd` -
 /// `validate()` rejects every other combination (through the shared
-/// oscs::arity guard), run(), run_fused() and run_nd() all call it
-/// before submitting any task.
+/// oscs::arity guard); run_nd() and run_fused() call it before submitting
+/// any task.
 struct BatchRequest {
   std::vector<stochastic::BernsteinPoly> polynomials;
   /// Bivariate (tensor-product) programs; mutually exclusive with
@@ -85,24 +83,15 @@ struct BatchRequest {
   /// runner's design point. Use `op->noiseless()` to switch noise off.
   std::optional<oscs::OperatingPoint> op;
 
-  /// True when the request carries tensor-product programs.
-  [[nodiscard]] bool bivariate() const noexcept {
-    return !polynomials2.empty();
-  }
-  /// True when the request carries N-ary sum-of-separable programs.
-  [[nodiscard]] bool nd() const noexcept { return !programs_nd.empty(); }
-  /// Programs in the request, whichever arity is populated.
+  /// Programs in the request, whichever spelling is populated.
   [[nodiscard]] std::size_t program_count() const noexcept {
-    if (nd()) return programs_nd.size();
-    return bivariate() ? polynomials2.size() : polynomials.size();
+    return polynomials.size() + polynomials2.size() + programs_nd.size();
   }
-  /// Evaluation points in the request (xs entries, or N-ary tuples).
+  /// Evaluation points in the request (xs entries, or input tuples).
   [[nodiscard]] std::size_t points() const noexcept {
-    if (nd()) return inputs.empty() ? 0 : inputs.front().size();
-    return xs.size();
+    if (programs_nd.empty()) return xs.size();
+    return inputs.empty() ? 0 : inputs.front().size();
   }
-  /// The i-th evaluation point as a coordinate tuple (any arity).
-  [[nodiscard]] std::vector<double> point(std::size_t i) const;
   /// Evaluations in the request (cells() * repeats).
   [[nodiscard]] std::size_t tasks() const noexcept;
   /// Grid cells in the request.
@@ -125,7 +114,7 @@ struct BatchCell {
   double x = 0.0;
   double y = 0.0;  ///< second input coordinate (bivariate cells; else 0)
   /// Full coordinate tuple of the evaluation point (every arity; x and y
-  /// mirror point[0] / point[1] for the legacy consumers).
+  /// mirror point[0] / point[1]).
   std::vector<double> point;
   std::size_t stream_length = 0;
   std::size_t repeats = 0;
@@ -174,20 +163,12 @@ struct BatchSummary {
 /// point and fans tasks across a thread pool.
 class BatchRunner {
  public:
-  /// Build a fresh kernel snapshot from the circuit; the design operating
-  /// point comes from the circuit's link budget (physical eye).
+  /// Build a fresh one-axis kernel snapshot from the circuit; the design
+  /// operating point comes from the circuit's link budget (physical eye).
+  /// Multi-axis kernels come in through the shared-kernel constructor.
   /// \throws std::invalid_argument if the circuit order exceeds the packed
   ///         kernel limit.
   explicit BatchRunner(const optsc::OpticalScCircuit& circuit);
-
-  /// Bivariate runner: builds the kernel in its two-input tensor-product
-  /// mode at per-axis orders (order_x, order_y); the circuit supplies the
-  /// eye geometry and design operating point exactly as in the univariate
-  /// constructor. Only bivariate requests run on this runner.
-  /// \throws std::invalid_argument if either order exceeds the packed
-  ///         kernel limit.
-  BatchRunner(const optsc::OpticalScCircuit& circuit, std::size_t order_x,
-              std::size_t order_y);
 
   /// Share an externally prebuilt kernel (e.g. the one a CompiledProgram
   /// carries) instead of re-deriving the decision LUT. `design_point` is
@@ -204,56 +185,35 @@ class BatchRunner {
     return design_point_;
   }
 
-  /// N-ary entry point: one task per (cell, repeat), each with its own
-  /// stimulus, accepting every request arity. Legacy requests are
-  /// wrapped into the separable view (dense N=1/N=2 delegation), which
-  /// keeps the task lattice, the per-task seeds and the kernel calls -
-  /// and therefore every output bit - identical to the historical run()
-  /// behavior; N-ary requests evaluate their input tuples through
-  /// `PackedKernel::run_nd`, folding each program's weighted term
-  /// estimates into the same `BatchSummary` shape.
-  /// \throws std::invalid_argument per `BatchRequest::validate()`, on a
-  ///         program order mismatch, or when the request arity does not
-  ///         match the kernel mode - all raised before any task is
-  ///         submitted.
+  /// The batch entry point: one task per (cell, repeat), each with its
+  /// own stimulus, accepting every request spelling. Every program runs
+  /// through `PackedKernel::run_nd` (dense programs as one MUX pass,
+  /// sum-of-rank-1 programs as one pass per factor), and each program's
+  /// estimates fold into the same `BatchSummary` shape.
+  /// \throws std::invalid_argument per `BatchRequest::validate()` (empty
+  ///         grids, zero repeats, out-of-range inputs, mismatched input
+  ///         columns, invalid operating point) or when a program does not
+  ///         run on the kernel (`PackedKernel::check_program`) - all raised
+  ///         before any task is submitted.
   [[nodiscard]] BatchSummary run_nd(const BatchRequest& request,
                                     ThreadPool& pool) const;
 
-  /// Convenience overload of run_nd on a temporary pool.
+  /// Convenience: run on a temporary pool of `threads` workers (0 picks
+  /// the hardware concurrency).
   [[nodiscard]] BatchSummary run_nd(const BatchRequest& request,
                                     std::size_t threads = 0) const;
 
-  /// Thin wrapper over run_nd(), kept as the legacy entry point: one
-  /// task per (cell, repeat), each with its own stimulus. Accepts the
-  /// univariate and bivariate arities (a bivariate request evaluates its
-  /// (xs[i], ys[i]) pairs through the two-input kernel mode); bit-
-  /// identical to the pre-run_nd implementation.
-  /// \throws std::invalid_argument per `BatchRequest::validate()` (empty
-  ///         grids, zero repeats, out-of-range x/y, mismatched x/y vector
-  ///         lengths, invalid operating point), on a polynomial order
-  ///         mismatch, or when the request arity does not match the
-  ///         kernel mode (bivariate request on a univariate runner and
-  ///         vice versa) - all raised before any task is submitted.
-  ///         run_fused() shares this exact contract.
-  [[nodiscard]] BatchSummary run(const BatchRequest& request,
-                                 ThreadPool& pool) const;
-
-  /// Convenience: run on a temporary pool of `threads` workers (0 picks
-  /// the hardware concurrency).
-  [[nodiscard]] BatchSummary run(const BatchRequest& request,
-                                 std::size_t threads = 0) const;
-
-  /// Fused mode: one task per (x, length, repeat) evaluates ALL requested
-  /// polynomials on one shared SNG stimulus with one flip-mask pass,
-  /// amortizing stimulus generation and the adder/select pass across
-  /// programs. Statistically equivalent to run() per program (identical
-  /// marginal estimator distribution; programs within a task share data
-  /// streams and flip positions); not bit-identical to run() for K > 1
-  /// because the sample layout differs. Cells come back in the same
-  /// polynomial-major order as run().
-  /// \throws std::invalid_argument with the same error contract as run():
-  ///         `BatchRequest::validate()` plus the order check, raised
-  ///         before any task is submitted.
+  /// Fused mode: one task per (point, length, repeat) evaluates ALL
+  /// requested dense programs (either arity) on one shared SNG stimulus
+  /// with one flip-mask pass, amortizing stimulus generation and the
+  /// adder/select pass across programs. Statistically equivalent to
+  /// run_nd() per program (identical marginal estimator distribution;
+  /// programs within a task share data streams and flip positions); not
+  /// bit-identical to run_nd() for K > 1 because the sample layout
+  /// differs. Cells come back in the same program-major order as run_nd().
+  /// \throws std::invalid_argument with the same error contract as
+  ///         run_nd(), and on a sum-of-rank-1 program (those run through
+  ///         run_nd), raised before any task is submitted.
   [[nodiscard]] BatchSummary run_fused(const BatchRequest& request,
                                        ThreadPool& pool) const;
 
@@ -270,17 +230,15 @@ class BatchRunner {
 
   /// Aggregate per-task outputs into program-major cells. `slot` maps
   /// (program, point, length, repeat) indices to a TaskOut slot;
-  /// `programs` is the unified separable view used for the exact
-  /// expected values (dense forms evaluate the identical legacy
-  /// arithmetic).
+  /// `programs` and `points` are the request's canonical form (the exact
+  /// expected values come from the programs).
   template <typename SlotFn>
   [[nodiscard]] BatchSummary aggregate(
       const BatchRequest& request,
       const std::vector<stochastic::SeparableProgram>& programs,
+      const std::vector<std::vector<double>>& points,
       const std::vector<TaskOut>& outs, const oscs::OperatingPoint& op,
       SlotFn&& slot) const;
-
-  void check_orders(const BatchRequest& request) const;
 
   std::shared_ptr<const PackedKernel> kernel_;
   oscs::OperatingPoint design_point_;

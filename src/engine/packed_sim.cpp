@@ -5,6 +5,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "engine/simd_kernel.hpp"
 #include "optsc/link_budget.hpp"
@@ -27,6 +28,15 @@ std::vector<const std::uint64_t*> word_pointers(
   std::vector<const std::uint64_t*> ptrs;
   ptrs.reserve(streams.size());
   for (const sc::Bitstream& s : streams) ptrs.push_back(s.words_data());
+  return ptrs;
+}
+
+/// Borrowed per-program coefficient stream sets (no copies).
+std::vector<const std::vector<sc::Bitstream>*> stream_sets(
+    const std::vector<std::vector<sc::Bitstream>>& sets) {
+  std::vector<const std::vector<sc::Bitstream>*> ptrs;
+  ptrs.reserve(sets.size());
+  for (const std::vector<sc::Bitstream>& set : sets) ptrs.push_back(&set);
   return ptrs;
 }
 
@@ -79,14 +89,31 @@ std::size_t apply_noise_flips(sc::Bitstream& stream, double flip_p,
   return positions.size();
 }
 
-PackedKernel::PackedKernel(const optsc::OpticalScCircuit& circuit)
-    : circuit_(&circuit), order_(circuit.order()) {
-  if (order_ > kMaxOrder) {
-    throw std::invalid_argument(
-        "PackedKernel: order " + std::to_string(order_) +
-        " exceeds the LUT limit " + std::to_string(kMaxOrder));
+std::vector<std::size_t> dense_orders(const sc::SeparableProgram& program) {
+  if (program.has_dense1()) return {program.dense1().degree()};
+  if (program.has_dense2()) {
+    return {program.dense2().deg_x(), program.dense2().deg_y()};
   }
-  planes_ = static_cast<std::size_t>(std::bit_width(order_));
+  return {};
+}
+
+PackedKernel::PackedKernel(const optsc::OpticalScCircuit& circuit,
+                           std::vector<std::size_t> orders)
+    : circuit_(&circuit), orders_(std::move(orders)) {
+  if (orders_.empty()) orders_ = {circuit.order()};
+  for (std::size_t order : orders_) {
+    if (order > kMaxOrder) {
+      throw std::invalid_argument(
+          "PackedKernel: order " + std::to_string(order) +
+          " exceeds the LUT limit " + std::to_string(kMaxOrder));
+    }
+  }
+  if (orders_.size() == 1 && orders_.front() != circuit.order()) {
+    throw std::invalid_argument(
+        "PackedKernel: one-axis order " + std::to_string(orders_.front()) +
+        " does not match the circuit order " +
+        std::to_string(circuit.order()));
+  }
 
   // Eye geometry only: the slicer threshold sits mid-eye, and since every
   // transmission scales linearly with probe power the decision LUT below
@@ -96,16 +123,17 @@ PackedKernel::PackedKernel(const optsc::OpticalScCircuit& circuit)
   const optsc::EyeAnalysis eye =
       budget.analyze(circuit.params().lasers.probe_power_mw);
   threshold_mw_ = eye.threshold_mw;
+  if (orders_.size() > 1) return;  // ideal multi-axis MUX: mux-exact
 
+  const std::size_t n = orders_.front();
   // Decision LUT: one noiseless slicer decision per reachable circuit
   // state. The received power is evaluated through the very same
   // OpticalScCircuit entry point the per-bit simulator uses, so the packed
   // path is decision-for-decision identical with noise disabled.
-  const std::size_t patterns = std::size_t{1} << (order_ + 1);
+  const std::size_t patterns = std::size_t{1} << (n + 1);
   decisions_.assign(patterns, 0);
-  mux_exact_ = true;
   for (std::size_t p = 0; p < patterns; ++p) {
-    for (std::size_t k = 0; k <= order_; ++k) {
+    for (std::size_t k = 0; k <= n; ++k) {
       const bool bit = received_power_mw(static_cast<std::uint32_t>(p), k) >
                        threshold_mw_;
       if (bit) decisions_[p] |= 1u << k;
@@ -114,36 +142,8 @@ PackedKernel::PackedKernel(const optsc::OpticalScCircuit& circuit)
   }
 }
 
-PackedKernel::PackedKernel(const optsc::OpticalScCircuit& circuit,
-                           std::size_t order_x, std::size_t order_y)
-    : circuit_(&circuit),
-      order_(order_x),
-      order_y_(order_y),
-      bivariate_(true) {
-  if (order_ > kMaxOrder || order_y_ > kMaxOrder) {
-    throw std::invalid_argument(
-        "PackedKernel: bivariate order (" + std::to_string(order_) + ", " +
-        std::to_string(order_y_) + ") exceeds the LUT limit " +
-        std::to_string(kMaxOrder));
-  }
-  planes_ = static_cast<std::size_t>(std::bit_width(order_));
-  planes_y_ = static_cast<std::size_t>(std::bit_width(order_y_));
-
-  // Same eye geometry as the univariate mode: the slicer threshold sits
-  // mid-eye and is probe-power invariant. The per-state physics table of
-  // the univariate LUT does not scale to 2^((n+1)(m+1)) coefficient
-  // patterns, so the bivariate decision model is the ideal 2D MUX
-  // (mux-exact by construction); receiver noise still arrives per run as
-  // Eq. 9 decision flips through `oscs::OperatingPoint`.
-  const optsc::LinkBudget budget(circuit, optsc::EyeModel::kPhysical);
-  const optsc::EyeAnalysis eye =
-      budget.analyze(circuit.params().lasers.probe_power_mw);
-  threshold_mw_ = eye.threshold_mw;
-  mux_exact_ = true;
-}
-
 bool PackedKernel::decision(std::uint32_t z_pattern, std::size_t ones) const {
-  if (z_pattern >= decisions_.size() || ones > order_) {
+  if (z_pattern >= decisions_.size() || ones > order()) {
     throw std::out_of_range("PackedKernel::decision: state out of range");
   }
   return (decisions_[z_pattern] >> ones) & 1u;
@@ -151,87 +151,50 @@ bool PackedKernel::decision(std::uint32_t z_pattern, std::size_t ones) const {
 
 double PackedKernel::received_power_mw(std::uint32_t z_pattern,
                                        std::size_t ones) const {
-  if (z_pattern >= (std::size_t{1} << (order_ + 1)) || ones > order_) {
+  const std::size_t n = circuit_->order();
+  if (z_pattern >= (std::size_t{1} << (n + 1)) || ones > n) {
     throw std::out_of_range("PackedKernel::received_power_mw: out of range");
   }
-  return circuit_->received_power_mw(
-      pattern_bits(z_pattern, order_ + 1), ones_prefix(ones, order_),
-      circuit_->params().lasers.probe_power_mw);
+  return circuit_->received_power_mw(pattern_bits(z_pattern, n + 1),
+                                     ones_prefix(ones, n),
+                                     circuit_->params().lasers.probe_power_mw);
 }
 
-void PackedKernel::assemble_words(const std::uint64_t* sel,
-                                  const std::uint64_t* zw,
-                                  std::uint64_t& mux_word,
-                                  std::uint64_t& opt_word) const {
-  const std::size_t n = order_;
-  mux_word = 0;
-  for (std::size_t k = 0; k <= n; ++k) mux_word |= sel[k] & zw[k];
-
-  if (mux_exact_) {
-    opt_word = mux_word;
-    return;
-  }
-  opt_word = 0;
-  for (std::size_t p = 0; p < decisions_.size(); ++p) {
-    const std::uint32_t dmask = decisions_[p];
-    if (dmask == 0) continue;
-    std::uint64_t zmask = ~std::uint64_t{0};
-    for (std::size_t j = 0; j <= n && zmask != 0; ++j) {
-      zmask &= ((p >> j) & 1u) ? zw[j] : ~zw[j];
-    }
-    if (zmask == 0) continue;
-    std::uint64_t decided = 0;
-    for (std::size_t k = 0; k <= n; ++k) {
-      if ((dmask >> k) & 1u) decided |= sel[k];
-    }
-    opt_word |= zmask & decided;
-  }
-}
-
-PackedKernel::Streams PackedKernel::evaluate(
-    const sc::ScInputs& inputs) const {
-  std::vector<Streams> out =
-      evaluate_core(inputs.x_streams, {&inputs.z_streams});
-  return std::move(out.front());
-}
-
-std::vector<PackedKernel::Streams> PackedKernel::evaluate_fused(
-    const sc::FusedScInputs& inputs) const {
-  std::vector<const std::vector<sc::Bitstream>*> z_sets;
-  z_sets.reserve(inputs.z_streams.size());
-  for (const std::vector<sc::Bitstream>& zs : inputs.z_streams) {
-    z_sets.push_back(&zs);
-  }
-  return evaluate_core(inputs.x_streams, z_sets);
-}
-
-std::vector<PackedKernel::Streams> PackedKernel::evaluate_core(
-    const std::vector<sc::Bitstream>& x_streams,
+std::vector<PackedKernel::Streams> PackedKernel::evaluate(
+    const std::vector<const std::vector<sc::Bitstream>*>& axes,
     const std::vector<const std::vector<sc::Bitstream>*>& z_sets) const {
-  const std::size_t n = order_;
+  const std::size_t n_axes = orders_.size();
   const std::size_t programs = z_sets.size();
-  if (bivariate_) {
-    throw std::invalid_argument(
-        "PackedKernel: univariate stimulus on a bivariate kernel (use "
-        "evaluate2/run2)");
-  }
-  if (x_streams.size() != n || programs == 0) {
+  std::size_t grid = 1;  // coefficient streams per program
+  for (std::size_t order : orders_) grid *= order + 1;
+  if (axes.size() != n_axes || programs == 0) {
     throw std::invalid_argument("PackedKernel: stimulus shape mismatch");
   }
-  // Shape before length: the order-0 case derives the stream length from
+  // Shape before length: with every order 0 the stream length comes from
   // the first coefficient stream, so its presence must be validated
   // before it is dereferenced.
-  for (const std::vector<sc::Bitstream>* zs : z_sets) {
-    if (zs->size() != n + 1) {
+  for (std::size_t a = 0; a < n_axes; ++a) {
+    if (axes[a]->size() != orders_[a]) {
       throw std::invalid_argument("PackedKernel: stimulus shape mismatch");
     }
   }
-  const std::size_t length =
-      x_streams.empty() ? z_sets.front()->front().size()
-                        : x_streams.front().size();
-  for (const sc::Bitstream& s : x_streams) {
-    if (s.size() != length) {
-      throw std::invalid_argument("PackedKernel: ragged x streams");
+  for (const std::vector<sc::Bitstream>* zs : z_sets) {
+    if (zs->size() != grid) {
+      throw std::invalid_argument("PackedKernel: stimulus shape mismatch");
+    }
+  }
+  std::size_t length = z_sets.front()->front().size();
+  for (const std::vector<sc::Bitstream>* bank : axes) {
+    if (!bank->empty()) {
+      length = bank->front().size();
+      break;
+    }
+  }
+  for (const std::vector<sc::Bitstream>* bank : axes) {
+    for (const sc::Bitstream& s : *bank) {
+      if (s.size() != length) {
+        throw std::invalid_argument("PackedKernel: ragged data streams");
+      }
     }
   }
   for (const std::vector<sc::Bitstream>* zs : z_sets) {
@@ -249,44 +212,83 @@ std::vector<PackedKernel::Streams> PackedKernel::evaluate_core(
       programs, std::vector<std::uint64_t>(nwords, 0));
 
   const simd::KernelOps& ops = simd::kernel_ops();
-  const std::vector<const std::uint64_t*> xw = word_pointers(x_streams);
+  std::vector<std::vector<const std::uint64_t*>> aw(n_axes);
+  for (std::size_t a = 0; a < n_axes; ++a) aw[a] = word_pointers(*axes[a]);
   std::vector<std::vector<const std::uint64_t*>> zw(programs);
   for (std::size_t prog = 0; prog < programs; ++prog) {
     zw[prog] = word_pointers(*z_sets[prog]);
   }
 
-  // Plane-major block scratch: entry (j, i) at j*kBlockWords + i. Sized by
-  // kMaxOrder so one allocation serves any circuit.
+  // Plane-major block scratch: entry (j, i) at j*kBlockWords + i. One
+  // plane buffer serves every axis in turn; each axis keeps its select
+  // masks, and each inner axis a its nested-MUX partials (one block per
+  // index prefix over the axes before it).
   constexpr std::size_t kMaxPlanes = std::bit_width(PackedKernel::kMaxOrder);
   std::vector<std::uint64_t> planes(kMaxPlanes * kBlockWords);
-  std::vector<std::uint64_t> sel((kMaxOrder + 1) * kBlockWords);
+  std::vector<std::vector<std::uint64_t>> sel(n_axes);
+  std::vector<std::vector<std::uint64_t>> partial(n_axes);
+  std::vector<std::vector<const std::uint64_t*>> partial_ptrs(n_axes);
+  std::size_t prefixes = 1;
+  for (std::size_t a = 0; a < n_axes; ++a) {
+    sel[a].resize((orders_[a] + 1) * kBlockWords);
+    if (a > 0) {
+      partial[a].resize(prefixes * kBlockWords);
+      for (std::size_t g = 0; g < prefixes; ++g) {
+        partial_ptrs[a].push_back(partial[a].data() + g * kBlockWords);
+      }
+    }
+    prefixes *= orders_[a] + 1;
+  }
 
   for (std::size_t w0 = 0; w0 < nwords; w0 += kBlockWords) {
     const std::size_t count = std::min(kBlockWords, nwords - w0);
 
-    // 1. Carry-save adder over the shared x words: after the call, bit t
-    //    of plane (j, i) holds bit j of the per-lane ones count k(t) for
-    //    word w0+i. Computed once and reused by every fused program.
-    std::fill_n(planes.begin(), planes_ * kBlockWords, 0);
-    ops.accumulate_planes(xw.data(), n, w0, count, planes.data(), planes_,
-                          kBlockWords);
+    // 1. Per axis, a carry-save adder over the shared data words: bit t of
+    //    plane (j, i) holds bit j of the lane-t ones count for word w0+i.
+    // 2. Bitwise equality against the planes gives that axis's select
+    //    masks. Both are computed once and reused by every fused program.
+    for (std::size_t a = 0; a < n_axes; ++a) {
+      const auto plane_count =
+          static_cast<std::size_t>(std::bit_width(orders_[a]));
+      std::fill_n(planes.begin(), plane_count * kBlockWords, 0);
+      ops.accumulate_planes(aw[a].data(), orders_[a], w0, count,
+                            planes.data(), plane_count, kBlockWords);
+      ops.select_masks(planes.data(), plane_count, count, orders_[a] + 1,
+                       sel[a].data(), kBlockWords);
+    }
 
-    // 2. Bitwise equality k(t) == k gives the coefficient select masks.
-    ops.select_masks(planes.data(), planes_, count, n + 1, sel.data(),
-                     kBlockWords);
-
-    // 3. Per program: ideal MUX words, then the optical decision words.
+    // 3. Per program: the ideal MUX words, one OR-reduce pass per axis
+    //    from the innermost out. Each pass collapses its axis: group g of
+    //    orders_[a]+1 inputs becomes partial g of the axis before it, and
+    //    the outermost pass lands in the MUX words.
     for (std::size_t prog = 0; prog < programs; ++prog) {
       std::uint64_t* mux = electronic[prog].data() + w0;
-      ops.mux_or_reduce(sel.data(), n + 1, kBlockWords, count,
-                        zw[prog].data(), w0, mux);
+      const std::uint64_t* const* inputs = zw[prog].data();
+      std::size_t in_w0 = w0;
+      std::size_t groups = grid;
+      for (std::size_t a = n_axes; a-- > 1;) {
+        const std::size_t fan = orders_[a] + 1;
+        groups /= fan;
+        std::fill(partial[a].begin(), partial[a].end(), 0);
+        for (std::size_t g = 0; g < groups; ++g) {
+          ops.mux_or_reduce(sel[a].data(), fan, kBlockWords, count,
+                            inputs + g * fan, in_w0,
+                            partial[a].data() + g * kBlockWords);
+        }
+        inputs = partial_ptrs[a].data();
+        in_w0 = 0;
+      }
+      ops.mux_or_reduce(sel[0].data(), orders_[0] + 1, kBlockWords, count,
+                        inputs, in_w0, mux);
       if (mux_exact_) {
         std::copy_n(mux, count, optical[prog].data() + w0);
         continue;
       }
-      // Physics LUT path (eye closed in some reachable state): per-word
-      // scan over the coefficient patterns, reusing the block's select
-      // masks. Rare - only non-mux-exact operating points land here.
+      // Physics LUT path (one-axis kernel, eye closed in some reachable
+      // state): per-word scan over the coefficient patterns, reusing the
+      // block's select masks. Rare - only non-mux-exact operating points
+      // land here.
+      const std::size_t n = orders_[0];
       for (std::size_t i = 0; i < count; ++i) {
         const std::size_t w = w0 + i;
         std::uint64_t opt = 0;
@@ -301,7 +303,7 @@ std::vector<PackedKernel::Streams> PackedKernel::evaluate_core(
           if (zmask == 0) continue;
           std::uint64_t decided = 0;
           for (std::size_t k = 0; k <= n; ++k) {
-            if ((dmask >> k) & 1u) decided |= sel[k * kBlockWords + i];
+            if ((dmask >> k) & 1u) decided |= sel[0][k * kBlockWords + i];
           }
           opt |= zmask & decided;
         }
@@ -320,35 +322,71 @@ std::vector<PackedKernel::Streams> PackedKernel::evaluate_core(
   return out;
 }
 
-PackedRunResult PackedKernel::run(const sc::BernsteinPoly& poly, double x,
-                                  const PackedRunConfig& config) const {
-  // Thin N=1 wrapper over the unified entry point; the dense delegation
-  // inside run_nd lands on run_fused({poly}) exactly as before.
-  return run_nd(sc::SeparableProgram(poly), {x}, config);
+void PackedKernel::check_program(const sc::SeparableProgram& program) const {
+  const std::vector<std::size_t> dense = dense_orders(program);
+  if (!dense.empty()) {
+    if (dense != orders_) {
+      throw std::invalid_argument(
+          "PackedKernel: program orders do not match the kernel");
+    }
+    return;
+  }
+  // Sum-of-rank-1 programs run every factor through the one-axis ReSC
+  // circuit, one stream per factor.
+  if (orders_.size() != 1) {
+    throw std::invalid_argument(
+        "PackedKernel: separable-term programs run on a one-axis kernel");
+  }
+  for (const sc::SeparableTerm& term : program.terms()) {
+    for (const sc::SeparableFactor& factor : term.factors) {
+      if (factor.poly.degree() != order()) {
+        throw std::invalid_argument(
+            "PackedKernel: factor order does not match the circuit");
+      }
+    }
+  }
 }
 
 std::vector<PackedRunResult> PackedKernel::run_fused(
-    const std::vector<sc::BernsteinPoly>& polys, double x,
-    const PackedRunConfig& config) const {
-  if (polys.empty()) {
+    std::span<const sc::SeparableProgram> programs,
+    const std::vector<double>& point, const PackedRunConfig& config) const {
+  if (programs.empty()) {
     throw std::invalid_argument("PackedKernel: no programs to run");
   }
-  for (const sc::BernsteinPoly& poly : polys) {
-    if (poly.degree() != order_) {
+  for (const sc::SeparableProgram& program : programs) {
+    if (dense_orders(program).empty()) {
       throw std::invalid_argument(
-          "PackedKernel: polynomial order does not match the circuit");
+          "PackedKernel: fused mode takes dense programs");
     }
+    check_program(program);
+  }
+  if (point.size() != orders_.size()) {
+    throw std::invalid_argument("PackedKernel: point arity mismatch");
   }
   config.op.validate();
 
   std::vector<std::vector<double>> coeffs;
-  coeffs.reserve(polys.size());
-  for (const sc::BernsteinPoly& poly : polys) coeffs.push_back(poly.coeffs());
-
-  const sc::FusedScInputs inputs = sc::make_fused_sc_inputs(
-      x, coeffs, order_, config.op.stream_length,
-      {config.source_kind, config.op.sng_width, config.stimulus_seed});
-  return finish_runs(evaluate_fused(inputs), config);
+  coeffs.reserve(programs.size());
+  for (const sc::SeparableProgram& program : programs) {
+    coeffs.push_back(program.has_dense1() ? program.dense1().coeffs()
+                                          : program.dense2().coeffs());
+  }
+  const sc::ScInputConfig sng{config.source_kind, config.op.sng_width,
+                              config.stimulus_seed};
+  const std::size_t length = config.op.stream_length;
+  // Dense forms exist for one and two axes; the SNG layer owns each
+  // stimulus layout (program 0 bit-identical to the unfused stimulus).
+  if (orders_.size() == 1) {
+    const sc::FusedScInputs in =
+        sc::make_fused_sc_inputs(point[0], coeffs, orders_[0], length, sng);
+    return finish_runs(evaluate({&in.x_streams}, stream_sets(in.z_streams)),
+                       config);
+  }
+  const sc::FusedScInputs2 in = sc::make_fused_sc_inputs2(
+      point[0], point[1], coeffs, orders_[0], orders_[1], length, sng);
+  return finish_runs(evaluate({&in.x_streams, &in.y_streams},
+                              stream_sets(in.z_streams)),
+                     config);
 }
 
 std::vector<PackedRunResult> PackedKernel::finish_runs(
@@ -393,166 +431,6 @@ std::vector<PackedRunResult> PackedKernel::finish_runs(
   return results;
 }
 
-PackedKernel::Streams PackedKernel::evaluate2(
-    const sc::ScInputs2& inputs) const {
-  std::vector<Streams> out =
-      evaluate2_core(inputs.x_streams, inputs.y_streams, {&inputs.z_streams});
-  return std::move(out.front());
-}
-
-std::vector<PackedKernel::Streams> PackedKernel::evaluate2_fused(
-    const sc::FusedScInputs2& inputs) const {
-  std::vector<const std::vector<sc::Bitstream>*> z_sets;
-  z_sets.reserve(inputs.z_streams.size());
-  for (const std::vector<sc::Bitstream>& zs : inputs.z_streams) {
-    z_sets.push_back(&zs);
-  }
-  return evaluate2_core(inputs.x_streams, inputs.y_streams, z_sets);
-}
-
-std::vector<PackedKernel::Streams> PackedKernel::evaluate2_core(
-    const std::vector<sc::Bitstream>& x_streams,
-    const std::vector<sc::Bitstream>& y_streams,
-    const std::vector<const std::vector<sc::Bitstream>*>& z_sets) const {
-  const std::size_t n = order_;
-  const std::size_t m = order_y_;
-  const std::size_t programs = z_sets.size();
-  if (!bivariate_) {
-    throw std::invalid_argument(
-        "PackedKernel: bivariate stimulus on a univariate kernel (use "
-        "evaluate/run)");
-  }
-  if (x_streams.size() != n || y_streams.size() != m || programs == 0) {
-    throw std::invalid_argument("PackedKernel: stimulus shape mismatch");
-  }
-  // Shape before length: with both orders 0 the stream length comes from
-  // the first coefficient stream, so its presence must be validated
-  // before it is dereferenced.
-  for (const std::vector<sc::Bitstream>* zs : z_sets) {
-    if (zs->size() != (n + 1) * (m + 1)) {
-      throw std::invalid_argument("PackedKernel: stimulus shape mismatch");
-    }
-  }
-  const std::size_t length = !x_streams.empty()  ? x_streams.front().size()
-                             : !y_streams.empty() ? y_streams.front().size()
-                                                  : z_sets.front()->front().size();
-  for (const sc::Bitstream& s : x_streams) {
-    if (s.size() != length) {
-      throw std::invalid_argument("PackedKernel: ragged x streams");
-    }
-  }
-  for (const sc::Bitstream& s : y_streams) {
-    if (s.size() != length) {
-      throw std::invalid_argument("PackedKernel: ragged y streams");
-    }
-  }
-  for (const std::vector<sc::Bitstream>* zs : z_sets) {
-    for (const sc::Bitstream& s : *zs) {
-      if (s.size() != length) {
-        throw std::invalid_argument("PackedKernel: ragged z streams");
-      }
-    }
-  }
-
-  const std::size_t nwords = (length + 63) / 64;
-  std::vector<std::vector<std::uint64_t>> optical(
-      programs, std::vector<std::uint64_t>(nwords, 0));
-  std::vector<std::vector<std::uint64_t>> electronic(
-      programs, std::vector<std::uint64_t>(nwords, 0));
-
-  const simd::KernelOps& ops = simd::kernel_ops();
-  const std::vector<const std::uint64_t*> xw = word_pointers(x_streams);
-  const std::vector<const std::uint64_t*> yw = word_pointers(y_streams);
-  std::vector<std::vector<const std::uint64_t*>> zw(programs);
-  for (std::size_t prog = 0; prog < programs; ++prog) {
-    zw[prog] = word_pointers(*z_sets[prog]);
-  }
-
-  // Plane-major block scratch for both axes (entry (j, i) at
-  // j*kBlockWords + i), sized by kMaxOrder.
-  constexpr std::size_t kMaxPlanes = std::bit_width(PackedKernel::kMaxOrder);
-  std::vector<std::uint64_t> planes_x(kMaxPlanes * kBlockWords);
-  std::vector<std::uint64_t> planes_y(kMaxPlanes * kBlockWords);
-  std::vector<std::uint64_t> sel_x((kMaxOrder + 1) * kBlockWords);
-  std::vector<std::uint64_t> sel_y((kMaxOrder + 1) * kBlockWords);
-
-  for (std::size_t w0 = 0; w0 < nwords; w0 += kBlockWords) {
-    const std::size_t count = std::min(kBlockWords, nwords - w0);
-
-    // 1. Two carry-save adders over the shared input banks: plane (j, i)
-    //    of planes_x/planes_y holds bit j of the per-lane row/column
-    //    index. Computed once per block and reused by every fused program.
-    std::fill_n(planes_x.begin(), planes_ * kBlockWords, 0);
-    std::fill_n(planes_y.begin(), planes_y_ * kBlockWords, 0);
-    ops.accumulate_planes(xw.data(), n, w0, count, planes_x.data(), planes_,
-                          kBlockWords);
-    ops.accumulate_planes(yw.data(), m, w0, count, planes_y.data(), planes_y_,
-                          kBlockWords);
-
-    // 2. The two packed select-index plane sets become per-axis equality
-    //    masks; their AND is the (i, j) coefficient select.
-    ops.select_masks(planes_x.data(), planes_, count, n + 1, sel_x.data(),
-                     kBlockWords);
-    ops.select_masks(planes_y.data(), planes_y_, count, m + 1, sel_y.data(),
-                     kBlockWords);
-
-    // 3. Per program: the 2D MUX words. The bivariate decision model is
-    //    mux-exact (see the constructor), so the optical words equal the
-    //    ideal MUX words before noise.
-    for (std::size_t prog = 0; prog < programs; ++prog) {
-      std::uint64_t* mux = electronic[prog].data() + w0;
-      ops.mux2_or_reduce(sel_x.data(), n + 1, sel_y.data(), m + 1,
-                         kBlockWords, count, zw[prog].data(), w0, mux);
-      std::copy_n(mux, count, optical[prog].data() + w0);
-    }
-  }
-
-  std::vector<Streams> out;
-  out.reserve(programs);
-  for (std::size_t prog = 0; prog < programs; ++prog) {
-    out.push_back(
-        {sc::Bitstream::from_words(std::move(optical[prog]), length),
-         sc::Bitstream::from_words(std::move(electronic[prog]), length)});
-  }
-  return out;
-}
-
-PackedRunResult PackedKernel::run2(const sc::BernsteinPoly2& poly, double x,
-                                   double y,
-                                   const PackedRunConfig& config) const {
-  // Thin N=2 wrapper over the unified entry point; the dense delegation
-  // inside run_nd lands on run2_fused({poly}) exactly as before.
-  return run_nd(sc::SeparableProgram(poly), {x, y}, config);
-}
-
-std::vector<PackedRunResult> PackedKernel::run2_fused(
-    const std::vector<sc::BernsteinPoly2>& polys, double x, double y,
-    const PackedRunConfig& config) const {
-  if (polys.empty()) {
-    throw std::invalid_argument("PackedKernel: no programs to run");
-  }
-  if (!bivariate_) {
-    throw std::invalid_argument(
-        "PackedKernel: bivariate run on a univariate kernel");
-  }
-  for (const sc::BernsteinPoly2& poly : polys) {
-    if (poly.deg_x() != order_ || poly.deg_y() != order_y_) {
-      throw std::invalid_argument(
-          "PackedKernel: polynomial orders do not match the circuit");
-    }
-  }
-  config.op.validate();
-
-  std::vector<std::vector<double>> coeffs;
-  coeffs.reserve(polys.size());
-  for (const sc::BernsteinPoly2& poly : polys) coeffs.push_back(poly.coeffs());
-
-  const sc::FusedScInputs2 inputs = sc::make_fused_sc_inputs2(
-      x, y, coeffs, order_, order_y_, config.op.stream_length,
-      {config.source_kind, config.op.sng_width, config.stimulus_seed});
-  return finish_runs(evaluate2_fused(inputs), config);
-}
-
 namespace {
 
 /// Decorrelated per-factor seed stream, mirroring the engine's task-seed
@@ -591,28 +469,10 @@ PackedRunResult PackedKernel::run_nd(const sc::SeparableProgram& program,
         " does not match the program arity " +
         std::to_string(program.arity()));
   }
-  // Dense delegation: the N=1/N=2 legacy representations take exactly the
-  // legacy paths (same stimulus construction, same seeds), which is what
-  // makes the unified entry point bit-identical to the run/run2 wrappers.
-  if (program.has_dense1()) {
-    return run_fused({program.dense1()}, point[0], config).front();
+  if (!dense_orders(program).empty()) {
+    return run_fused({&program, 1}, point, config).front();
   }
-  if (program.has_dense2()) {
-    return run2_fused({program.dense2()}, point[0], point[1], config).front();
-  }
-
-  if (bivariate_) {
-    throw std::invalid_argument(
-        "PackedKernel: separable-term programs run on a univariate kernel");
-  }
-  for (const sc::SeparableTerm& term : program.terms()) {
-    for (const sc::SeparableFactor& factor : term.factors) {
-      if (factor.poly.degree() != order_) {
-        throw std::invalid_argument(
-            "PackedKernel: factor order does not match the circuit");
-      }
-    }
-  }
+  check_program(program);
   config.op.validate();
 
   const std::size_t length = config.op.stream_length;
@@ -634,10 +494,11 @@ PackedRunResult PackedKernel::run_nd(const sc::SeparableProgram& program,
     std::vector<std::uint64_t> electronic(nwords, ~std::uint64_t{0});
     for (const sc::SeparableFactor& factor : term.factors) {
       const sc::ScInputs inputs = sc::make_sc_inputs(
-          point[factor.axis], factor.poly.coeffs(), order_, length,
+          point[factor.axis], factor.poly.coeffs(), order(), length,
           {config.source_kind, config.op.sng_width,
            derive_factor_seed(config.stimulus_seed, factor_index)});
-      Streams streams = evaluate(inputs);
+      Streams streams = std::move(
+          evaluate({&inputs.x_streams}, {&inputs.z_streams}).front());
       if (config.op.noisy()) {
         // Per-factor receiver noise: each factor stream is its own
         // optical evaluation, so each gets its own Eq. 9 flip mask.

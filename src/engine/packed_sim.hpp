@@ -15,10 +15,11 @@
 ///      carry-save bit-plane accumulation over the packed x words,
 ///   2. per-coefficient select masks (k(t) == k) come out of the planes as
 ///      bitwise equality tests,
-///   3. the ideal MUX output is OR_k(select_k & z_k); the optical decision
-///      stream is assembled the same way from the decision LUT (and when
-///      the LUT *is* the ideal MUX - an open eye at the operating point -
-///      the MUX word is reused directly),
+///   3. the ideal MUX output is OR_k(select_k & z_k) - one such pass per
+///      input axis for a multi-axis program; the optical decision stream
+///      is assembled from the decision LUT (and when the LUT *is* the
+///      ideal MUX - an open eye at the operating point - the MUX word is
+///      reused directly),
 ///   4. receiver noise is applied as sparse decision flips at the BER the
 ///      caller's `oscs::OperatingPoint` carries (geometric gap sampling),
 ///      instead of drawing one Gaussian per bit.
@@ -27,8 +28,11 @@
 /// arrives inside the operating point, which `optsc::LinkBudget` (the one
 /// place that owns the physics-to-BER mapping) produced. The fused mode
 /// evaluates K programs on one shared stimulus with one flip-mask pass.
+/// Every arity runs the same dense MUX core; a general N-ary program runs
+/// its rank-1 factors through it one at a time (see run_nd).
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/operating_point.hpp"
@@ -81,38 +85,48 @@ void flip_positions(stochastic::Bitstream& stream,
 std::size_t apply_noise_flips(stochastic::Bitstream& stream, double flip_p,
                               oscs::Xoshiro256& rng);
 
-/// Word-parallel evaluation kernel bound to one circuit. Construction
-/// snapshots the eye geometry the hot loop needs (decision LUT, slicer
-/// threshold); evaluation is const and safe to share across threads.
+/// Per-axis select ranges of a dense program: {degree} for the univariate
+/// form, {deg_x, deg_y} for the tensor-product form, empty for a general
+/// sum-of-rank-1 program.
+[[nodiscard]] std::vector<std::size_t> dense_orders(
+    const stochastic::SeparableProgram& program);
+
+/// Word-parallel evaluation kernel: one dense tensor-product ReSC MUX over
+/// one or more input axes. Axis a owns an adder over orders()[a] data
+/// streams; the per-axis adder values select one of the
+/// prod_a (orders()[a] + 1) coefficient streams (row-major, last axis
+/// fastest). The multi-axis select is nested one-axis MUX passes, innermost
+/// axis first - OR_i (s_x,i & OR_j (s_y,j & z_ij)) equals
+/// OR_ij (s_x,i & s_y,j & z_ij) exactly - so every arity runs the same
+/// word-parallel core. Construction snapshots the eye geometry the hot loop
+/// needs (decision LUT, slicer threshold); evaluation is const and safe to
+/// share across threads.
 class PackedKernel {
  public:
-  /// Highest circuit order the LUT precomputation supports: the table has
+  /// Highest per-axis order the kernel supports: the one-axis LUT has
   /// 2^(order+1) coefficient patterns, each evaluated through the O(n^2)
   /// Eq. (6) physics, so the build cost doubles per order step.
   static constexpr std::size_t kMaxOrder = 12;
 
-  /// \throws std::invalid_argument if circuit.order() > kMaxOrder.
-  explicit PackedKernel(const optsc::OpticalScCircuit& circuit);
+  /// Kernel over the per-axis select ranges `orders` (empty: the circuit's
+  /// own univariate order). The circuit supplies the eye geometry (slicer
+  /// threshold). A one-axis kernel also snapshots the Eq. (6) decision LUT,
+  /// so it runs at the circuit's order. A multi-axis kernel uses the ideal
+  /// MUX (the per-state physics table would be 2^(prod(n_a+1)) entries), so
+  /// its optical decision model is mux-exact by construction; its orders
+  /// may be 0 (that input bank degenerates). Receiver noise arrives either
+  /// way as Eq. 9 flip masks from the caller's `oscs::OperatingPoint`.
+  /// \throws std::invalid_argument if an order exceeds kMaxOrder or a
+  ///         one-axis order differs from circuit.order().
+  explicit PackedKernel(const optsc::OpticalScCircuit& circuit,
+                        std::vector<std::size_t> orders = {});
 
-  /// Bivariate (tensor-product ReSC) mode: two packed select-index plane
-  /// sets per word - an x adder over `order_x` data streams and a y adder
-  /// over `order_y` - select one of the (order_x+1)*(order_y+1)
-  /// coefficient streams. The circuit supplies the eye geometry
-  /// (threshold) exactly as in the univariate constructor; the 2D
-  /// coefficient LUT is the ideal MUX (the per-state physics table would
-  /// be 2^((n+1)(m+1)) entries), so the optical decision model is
-  /// mux-exact by construction and receiver noise still arrives as Eq. 9
-  /// flip masks from the caller's `oscs::OperatingPoint`. Either order may
-  /// be 0 (that input bank degenerates).
-  /// \throws std::invalid_argument if either order exceeds kMaxOrder.
-  PackedKernel(const optsc::OpticalScCircuit& circuit, std::size_t order_x,
-               std::size_t order_y);
-
-  [[nodiscard]] std::size_t order() const noexcept { return order_; }
-  /// Bivariate mode: y-axis order (column select range 0..order_y()).
-  [[nodiscard]] std::size_t order_y() const noexcept { return order_y_; }
-  /// True when the kernel was built in the two-input tensor-product mode.
-  [[nodiscard]] bool bivariate() const noexcept { return bivariate_; }
+  /// Per-axis select ranges (adder over orders()[a] data streams).
+  [[nodiscard]] const std::vector<std::size_t>& orders() const noexcept {
+    return orders_;
+  }
+  /// First-axis order; the circuit order of a one-axis kernel.
+  [[nodiscard]] std::size_t order() const noexcept { return orders_.front(); }
   /// Mid-eye decision threshold [mW], physical-eye semantics (identical to
   /// the legacy TransientSimulator placement).
   [[nodiscard]] double threshold_mw() const noexcept { return threshold_mw_; }
@@ -120,8 +134,8 @@ class PackedKernel {
   /// eye is open in every reachable state), enabling the fast path.
   [[nodiscard]] bool mux_exact() const noexcept { return mux_exact_; }
 
-  /// Noiseless decision for coefficient pattern `z_pattern` (bit j = z_j)
-  /// and adder value `ones`.
+  /// Noiseless decision of a one-axis kernel for coefficient pattern
+  /// `z_pattern` (bit j = z_j) and adder value `ones`.
   [[nodiscard]] bool decision(std::uint32_t z_pattern, std::size_t ones) const;
   /// Received power [mW] in the same state, recomputed from the circuit
   /// snapshot (diagnostics/tests; not on the hot path).
@@ -133,78 +147,47 @@ class PackedKernel {
     stochastic::Bitstream optical;     ///< slicer decisions
     stochastic::Bitstream electronic;  ///< ideal MUX output (ReSC baseline)
   };
+
+  /// Fused noiseless pass: K programs on shared data streams. `axes[a]`
+  /// holds axis a's orders()[a] data streams; `programs[k]` holds program
+  /// k's row-major coefficient streams. The adder bit-planes and select
+  /// masks are computed once per axis per word block and reused by every
+  /// program. Returns one Streams per program; a one-axis pass is
+  /// bit-identical to ReSCUnit::output_stream, a two-axis pass to
+  /// ReSC2Unit::output_stream on the same stimulus.
   /// \throws std::invalid_argument on stimulus shape mismatch.
-  [[nodiscard]] Streams evaluate(const stochastic::ScInputs& inputs) const;
+  [[nodiscard]] std::vector<Streams> evaluate(
+      const std::vector<const std::vector<stochastic::Bitstream>*>& axes,
+      const std::vector<const std::vector<stochastic::Bitstream>*>& programs)
+      const;
 
-  /// Fused noiseless pass: K programs on shared data streams. The adder
-  /// bit-planes and select masks are computed once per word and reused by
-  /// every program - the per-word work the unfused path would repeat K
-  /// times. Returns one Streams per program.
-  /// \throws std::invalid_argument on stimulus shape mismatch.
-  [[nodiscard]] std::vector<Streams> evaluate_fused(
-      const stochastic::FusedScInputs& inputs) const;
+  /// \throws std::invalid_argument unless `program` runs on this kernel: a
+  ///         dense program whose per-axis degrees equal orders(), or a
+  ///         sum-of-rank-1 program whose factor degrees all equal the order
+  ///         of a one-axis kernel.
+  void check_program(const stochastic::SeparableProgram& program) const;
 
-  /// Full evaluation: generate SNG stimulus, run the packed pass, apply
-  /// decision flips at config.op.ber. Equivalent to the legacy per-bit
-  /// simulation loop, word-wise.
-  /// \throws std::invalid_argument if the polynomial order mismatches or
-  ///         the operating point is invalid.
-  [[nodiscard]] PackedRunResult run(const stochastic::BernsteinPoly& poly,
-                                    double x,
-                                    const PackedRunConfig& config) const;
-
-  /// Fused full evaluation: K programs share one SNG stimulus (data
-  /// streams generated once) and one flip-mask pass (positions sampled
-  /// once at config.op.ber, applied to every program's decision stream).
-  /// A one-program fused run is bit-identical to run().
-  /// \throws std::invalid_argument on an empty program list, an order
+  /// Fused dense evaluation: K dense programs (see dense_orders) share one
+  /// SNG stimulus (data streams generated once per axis) and one flip-mask
+  /// pass (positions sampled once at config.op.ber, applied to every
+  /// program's decision stream). A one-program fused run is exactly the
+  /// dense path of run_nd().
+  /// \throws std::invalid_argument on an empty program list, a program
+  ///         check_program() rejects or that is not dense, a point arity
   ///         mismatch or an invalid operating point.
   [[nodiscard]] std::vector<PackedRunResult> run_fused(
-      const std::vector<stochastic::BernsteinPoly>& polys, double x,
-      const PackedRunConfig& config) const;
+      std::span<const stochastic::SeparableProgram> programs,
+      const std::vector<double>& point, const PackedRunConfig& config) const;
 
-  /// Noiseless word-parallel pass over two-input stimulus (bivariate
-  /// kernels only). Bit-identical to ReSC2Unit::output_stream on the same
-  /// stimulus.
-  /// \throws std::invalid_argument on stimulus shape mismatch or a
-  ///         univariate kernel.
-  [[nodiscard]] Streams evaluate2(const stochastic::ScInputs2& inputs) const;
-
-  /// Fused noiseless two-input pass: K coefficient grids on shared x and
-  /// y banks - both adders' select planes computed once per word.
-  /// \throws std::invalid_argument on stimulus shape mismatch or a
-  ///         univariate kernel.
-  [[nodiscard]] std::vector<Streams> evaluate2_fused(
-      const stochastic::FusedScInputs2& inputs) const;
-
-  /// Full bivariate evaluation: generate the two-bank SNG stimulus, run
-  /// the packed pass, apply decision flips at config.op.ber.
-  /// \throws std::invalid_argument if the polynomial orders mismatch, the
-  ///         kernel is univariate or the operating point is invalid.
-  [[nodiscard]] PackedRunResult run2(const stochastic::BernsteinPoly2& poly,
-                                     double x, double y,
-                                     const PackedRunConfig& config) const;
-
-  /// Fused bivariate evaluation: K programs share both stimulus banks and
-  /// one flip-mask pass. A one-program fused run is bit-identical to
-  /// run2().
-  /// \throws std::invalid_argument on an empty program list, an order
-  ///         mismatch, a univariate kernel or an invalid operating point.
-  [[nodiscard]] std::vector<PackedRunResult> run2_fused(
-      const std::vector<stochastic::BernsteinPoly2>& polys, double x,
-      double y, const PackedRunConfig& config) const;
-
-  /// N-ary entry point: evaluate a separable program at a point of
+  /// The one entry point: evaluate a program at a point of
   /// point.size() == program.arity() coordinates.
   ///
-  /// Dense forms delegate: a program carrying the dense univariate /
-  /// bivariate representation takes exactly the legacy run()/run2() path
-  /// (same stimulus, same seeds), so run_nd is bit-identical to the
-  /// wrappers it unifies. A general sum-of-rank-1 program runs each
-  /// factor as one fused 1D pass on this (univariate) kernel - the
-  /// factor's coefficients are its SNG probabilities - ANDs the
-  /// independent factor streams of every term (stochastic multiply), and
-  /// folds the weighted term estimates arithmetically:
+  /// A dense program runs as a one-program run_fused(). A general
+  /// sum-of-rank-1 program runs each factor as one dense pass on this
+  /// (one-axis) kernel - the factor's coefficients are its SNG
+  /// probabilities - ANDs the independent factor streams of every term
+  /// (stochastic multiply), and folds the weighted term estimates
+  /// arithmetically:
   ///
   ///   estimate = sum_t w_t * popcount(AND_j stream_{t,j}) / length.
   ///
@@ -213,47 +196,23 @@ class PackedKernel {
   /// config.noise_seed); noise_flips totals the injected flips and
   /// transmission_flips counts, per term, the bits where the noisy
   /// optical product differs from the ideal electronic product.
-  /// \throws std::invalid_argument on a point arity mismatch, a factor
-  ///         order not matching the circuit, a general program on a
-  ///         bivariate kernel, or an invalid operating point.
+  /// \throws std::invalid_argument on a point arity mismatch, a program
+  ///         check_program() rejects, or an invalid operating point.
   [[nodiscard]] PackedRunResult run_nd(
       const stochastic::SeparableProgram& program,
       const std::vector<double>& point, const PackedRunConfig& config) const;
 
  private:
-  /// Assemble the ideal-MUX and optical-decision words for one program
-  /// from the per-word select masks and coefficient words.
-  void assemble_words(const std::uint64_t* sel, const std::uint64_t* zw,
-                      std::uint64_t& mux_word, std::uint64_t& opt_word) const;
-
-  /// Shared core of evaluate/evaluate_fused: one set of x streams, K
-  /// borrowed coefficient-stream sets (no copies).
-  [[nodiscard]] std::vector<Streams> evaluate_core(
-      const std::vector<stochastic::Bitstream>& x_streams,
-      const std::vector<const std::vector<stochastic::Bitstream>*>& z_sets)
-      const;
-
-  /// Shared core of evaluate2/evaluate2_fused: shared x and y banks, K
-  /// borrowed coefficient-grid stream sets (no copies).
-  [[nodiscard]] std::vector<Streams> evaluate2_core(
-      const std::vector<stochastic::Bitstream>& x_streams,
-      const std::vector<stochastic::Bitstream>& y_streams,
-      const std::vector<const std::vector<stochastic::Bitstream>*>& z_sets)
-      const;
-
-  /// Shared flip-mask + statistics tail of run_fused/run2_fused.
+  /// Flip-mask + statistics tail of run_fused.
   [[nodiscard]] std::vector<PackedRunResult> finish_runs(
       std::vector<Streams> streams, const PackedRunConfig& config) const;
 
   const optsc::OpticalScCircuit* circuit_;
-  std::size_t order_ = 0;
-  std::size_t order_y_ = 0;   ///< bivariate mode: column select range
-  bool bivariate_ = false;    ///< two-input tensor-product mode
-  std::size_t planes_ = 0;  ///< bit-planes needed for adder values 0..n
-  std::size_t planes_y_ = 0;  ///< bit-planes for the y adder (bivariate)
+  std::vector<std::size_t> orders_;  ///< per-axis select ranges
   double threshold_mw_ = 0.0;
-  bool mux_exact_ = false;
-  /// decisions_[p] bit k = noiseless decision for pattern p, adder k.
+  bool mux_exact_ = true;
+  /// One-axis kernels: decisions_[p] bit k = noiseless decision for
+  /// pattern p, adder k (empty for multi-axis kernels).
   std::vector<std::uint32_t> decisions_;
 };
 

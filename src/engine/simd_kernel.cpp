@@ -49,38 +49,23 @@ void mux_or_reduce_scalar(const std::uint64_t* sel, std::size_t n_sel,
   }
 }
 
-void mux2_or_reduce_scalar(const std::uint64_t* sel_x, std::size_t nx,
-                           const std::uint64_t* sel_y, std::size_t ny,
-                           std::size_t stride, std::size_t count,
-                           const std::uint64_t* const* z_words, std::size_t w0,
-                           std::uint64_t* mux) {
-  for (std::size_t i = 0; i < nx; ++i) {
-    const std::uint64_t* sx = sel_x + i * stride;
-    for (std::size_t j = 0; j < ny; ++j) {
-      const std::uint64_t* sy = sel_y + j * stride;
-      const std::uint64_t* z = z_words[i * ny + j] + w0;
-      for (std::size_t w = 0; w < count; ++w) {
-        const std::uint64_t sel = sx[w] & sy[w];
-        if (sel != 0) mux[w] |= sel & z[w];
-      }
-    }
-  }
-}
-
 void xor_inplace_scalar(std::uint64_t* dst, const std::uint64_t* src,
                         std::size_t count) {
   for (std::size_t i = 0; i < count; ++i) dst[i] ^= src[i];
 }
 
 constexpr KernelOps kScalarOps{
-    accumulate_planes_scalar, select_masks_scalar, mux_or_reduce_scalar,
-    mux2_or_reduce_scalar,    xor_inplace_scalar,
+    accumulate_planes_scalar,
+    select_masks_scalar,
+    mux_or_reduce_scalar,
+    xor_inplace_scalar,
 };
 
 #if defined(OSCS_HAVE_AVX2)
 constexpr KernelOps kAvx2Ops{
-    detail::accumulate_planes_avx2, detail::select_masks_avx2,
-    detail::mux_or_reduce_avx2,     detail::mux2_or_reduce_avx2,
+    detail::accumulate_planes_avx2,
+    detail::select_masks_avx2,
+    detail::mux_or_reduce_avx2,
     detail::xor_inplace_avx2,
 };
 #endif

@@ -2,7 +2,7 @@
 /// \file simd_kernel.hpp
 /// \brief Runtime-dispatched word-parallel primitives behind the packed
 ///        kernel: carry-save bit-plane accumulation, select-mask
-///        extraction, MUX OR-reduce (1D and 2D) and flip-mask application.
+///        extraction, MUX OR-reduce and flip-mask application.
 ///
 /// The packed evaluation walks streams in plane-major *blocks* of packed
 /// words rather than one word at a time, so each primitive sees a
@@ -53,19 +53,13 @@ struct KernelOps {
 
   /// MUX OR-reduce: mux[i] |= sel[k*stride + i] & z_words[k][w0 + i] over
   /// all k < n_sel. The caller owns mux's initial contents (zero for a
-  /// fresh block).
+  /// fresh block). A multi-axis MUX is nested passes of this one: by
+  /// distributivity OR_i (s_x,i & OR_j (s_y,j & z_ij)) equals
+  /// OR_ij (s_x,i & s_y,j & z_ij) bit for bit.
   void (*mux_or_reduce)(const std::uint64_t* sel, std::size_t n_sel,
                         std::size_t stride, std::size_t count,
                         const std::uint64_t* const* z_words, std::size_t w0,
                         std::uint64_t* mux);
-
-  /// 2D MUX OR-reduce: mux[w] |= (sel_x[i*stride+w] & sel_y[j*stride+w]) &
-  /// z_words[i*ny + j][w0 + w] over the full (i, j) coefficient grid.
-  void (*mux2_or_reduce)(const std::uint64_t* sel_x, std::size_t nx,
-                         const std::uint64_t* sel_y, std::size_t ny,
-                         std::size_t stride, std::size_t count,
-                         const std::uint64_t* const* z_words, std::size_t w0,
-                         std::uint64_t* mux);
 
   /// dst[i] ^= src[i] - flip-mask application onto packed decision words.
   void (*xor_inplace)(std::uint64_t* dst, const std::uint64_t* src,
@@ -96,11 +90,6 @@ void mux_or_reduce_avx2(const std::uint64_t* sel, std::size_t n_sel,
                         std::size_t stride, std::size_t count,
                         const std::uint64_t* const* z_words, std::size_t w0,
                         std::uint64_t* mux);
-void mux2_or_reduce_avx2(const std::uint64_t* sel_x, std::size_t nx,
-                         const std::uint64_t* sel_y, std::size_t ny,
-                         std::size_t stride, std::size_t count,
-                         const std::uint64_t* const* z_words, std::size_t w0,
-                         std::uint64_t* mux);
 void xor_inplace_avx2(std::uint64_t* dst, const std::uint64_t* src,
                       std::size_t count);
 }  // namespace detail

@@ -101,42 +101,6 @@ void mux_or_reduce_avx2(const std::uint64_t* sel, std::size_t n_sel,
   }
 }
 
-void mux2_or_reduce_avx2(const std::uint64_t* sel_x, std::size_t nx,
-                         const std::uint64_t* sel_y, std::size_t ny,
-                         std::size_t stride, std::size_t count,
-                         const std::uint64_t* const* z_words, std::size_t w0,
-                         std::uint64_t* mux) {
-  const std::size_t vec = count & ~std::size_t{3};
-  for (std::size_t w = 0; w < vec; w += 4) {
-    __m256i acc = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(mux + w));
-    for (std::size_t i = 0; i < nx; ++i) {
-      const __m256i sx = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(sel_x + i * stride + w));
-      if (_mm256_testz_si256(sx, sx)) continue;
-      for (std::size_t j = 0; j < ny; ++j) {
-        const __m256i sy = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(sel_y + j * stride + w));
-        const __m256i s = _mm256_and_si256(sx, sy);
-        const __m256i z = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(z_words[i * ny + j] + w0 + w));
-        acc = _mm256_or_si256(acc, _mm256_and_si256(s, z));
-      }
-    }
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(mux + w), acc);
-  }
-  for (std::size_t w = vec; w < count; ++w) {
-    std::uint64_t acc = mux[w];
-    for (std::size_t i = 0; i < nx; ++i) {
-      const std::uint64_t sx = sel_x[i * stride + w];
-      if (sx == 0) continue;
-      for (std::size_t j = 0; j < ny; ++j) {
-        acc |= (sx & sel_y[j * stride + w]) & z_words[i * ny + j][w0 + w];
-      }
-    }
-    mux[w] = acc;
-  }
-}
-
 void xor_inplace_avx2(std::uint64_t* dst, const std::uint64_t* src,
                       std::size_t count) {
   const std::size_t vec = count & ~std::size_t{3};

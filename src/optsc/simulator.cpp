@@ -49,7 +49,8 @@ SimulationResult TransientSimulator::run_packed(
   cfg.source_kind = config.stimulus.kind;
   cfg.stimulus_seed = config.stimulus.seed;
   cfg.noise_seed = config.noise_seed;
-  const engine::PackedRunResult packed = kernel_->run(poly, x, cfg);
+  const engine::PackedRunResult packed =
+      kernel_->run_nd(sc::SeparableProgram(poly), {x}, cfg);
 
   SimulationResult r;
   r.input_x = x;

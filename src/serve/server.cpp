@@ -274,348 +274,266 @@ void ProgramServer::release_pool(std::unique_ptr<engine::ThreadPool> pool) {
 }
 
 const ProgramServer::OrderEngine& ProgramServer::order_engine(
-    std::size_t order) {
+    const std::vector<std::size_t>& orders) {
   std::lock_guard<std::mutex> lock(engines_mutex_);
-  auto it = order_engines_.find(order);
+  auto it = order_engines_.find(orders);
   if (it == order_engines_.end()) {
     OrderEngine built;
     built.circuit = std::make_shared<const optsc::OpticalScCircuit>(
-        optsc::paper_defaults(order));
-    built.kernel = std::make_shared<const engine::PackedKernel>(*built.circuit);
+        optsc::paper_defaults(orders.front()));
+    built.kernel =
+        std::make_shared<const engine::PackedKernel>(*built.circuit, orders);
     built.design_point = optsc::design_operating_point(*built.circuit);
-    it = order_engines_.emplace(order, std::move(built)).first;
+    it = order_engines_.emplace(orders, std::move(built)).first;
   }
   return it->second;
 }
 
-const ProgramServer::OrderEngine& ProgramServer::order_engine2(
-    std::size_t order_x, std::size_t order_y) {
-  std::lock_guard<std::mutex> lock(engines_mutex_);
-  auto it = order_engines2_.find({order_x, order_y});
-  if (it == order_engines2_.end()) {
-    OrderEngine built;
-    built.circuit = std::make_shared<const optsc::OpticalScCircuit>(
-        optsc::paper_defaults(order_x));
-    built.kernel = std::make_shared<const engine::PackedKernel>(
-        *built.circuit, order_x, order_y);
-    built.design_point = optsc::design_operating_point(*built.circuit);
-    it = order_engines2_.emplace(std::make_pair(order_x, order_y),
-                                 std::move(built))
-             .first;
-  }
-  return it->second;
+namespace {
+
+/// Per-axis kernel orders `program` runs at: the dense degrees, or the
+/// common factor degree of a sum-of-rank-1 program (one-axis kernel).
+std::vector<std::size_t> kernel_orders(
+    const stochastic::SeparableProgram& program) {
+  std::vector<std::size_t> orders = engine::dense_orders(program);
+  if (orders.empty()) orders = {program.factor_degree()};
+  return orders;
 }
 
-ProgramServer::Resolved ProgramServer::resolve(const ServeRequest& request) {
-  // N-ary requests (three or more 'inputs' axes; one- and two-axis
-  // requests were lowered onto 'xs'/'ys' before this point) resolve
-  // through the separable catalogue.
-  if (!request.inputs.empty()) return resolve_nd(request);
-
-  Resolved resolved;
-  resolved.labels.reserve(request.programs.size());
-  // The request's arity is declared by 'ys'; every program must match it
-  // (arities cannot mix within one fused batch).
-  resolved.bivariate = !request.ys.empty();
-  resolved.arity = resolved.bivariate ? 2 : 1;
-
-  // Pass 1: compile (or accept) every program and find the common circuit
-  // order(s) the fused kernel will run at. `holds` stays parallel to the
-  // request's program list (nullptr for raw-coefficient entries).
-  std::size_t target_order = 1;
-  std::size_t target_order_y = 1;
-  std::vector<stochastic::BernsteinPoly> polys;
-  std::vector<stochastic::BernsteinPoly2> polys2;
-  polys.reserve(request.programs.size());
-  for (const ProgramSpec& spec : request.programs) {
-    resolved.labels.push_back(spec.display_id());
-    if (spec.is_raw()) {
-      if (spec.coefficients.empty() && spec.coefficients2.empty()) {
-        // Typed-path callers can hand over an all-empty spec; keep it a
-        // client error instead of a 500 out of BernsteinPoly.
-        throw ServeError(
-            400, "bad_request",
-            "each program needs exactly one of 'function'/'coefficients'");
-      }
-      if (spec.is_raw_bivariate()) {
-        if (!resolved.bivariate) {
-          throw ServeError(400, "bad_request",
-                           "bivariate coefficient grid in a request without "
-                           "'ys' (arities cannot mix)");
-        }
-        for (const std::vector<double>& row : spec.coefficients2) {
-          for (double c : row) {
-            if (!(c >= 0.0 && c <= 1.0)) {
-              throw ServeError(
-                  400, "bad_request",
-                  "coefficients must be finite and lie in [0, 1]");
-            }
-          }
-        }
-        // Typed-path callers can hand over a ragged or empty-row grid;
-        // keep it a client error instead of a 500 out of BernsteinPoly2.
-        std::optional<stochastic::BernsteinPoly2> parsed;
-        try {
-          parsed.emplace(spec.coefficients2);
-        } catch (const std::invalid_argument& e) {
-          throw ServeError(400, "bad_request", e.what());
-        }
-        stochastic::BernsteinPoly2 poly = std::move(*parsed);
-        // Circuit minimum: one data channel per input bank.
-        poly = poly.elevated(poly.deg_x() == 0 ? 1 : 0,
-                             poly.deg_y() == 0 ? 1 : 0);
-        if (poly.deg_x() > engine::PackedKernel::kMaxOrder ||
-            poly.deg_y() > engine::PackedKernel::kMaxOrder) {
-          throw ServeError(
-              400, "bad_request",
-              "coefficient degree exceeds the kernel order limit (" +
-                  std::to_string(engine::PackedKernel::kMaxOrder) + ")");
-        }
-        target_order = std::max(target_order, poly.deg_x());
-        target_order_y = std::max(target_order_y, poly.deg_y());
-        polys2.push_back(std::move(poly));
-        resolved.holds.emplace_back();
-        resolved.refs2.emplace_back();  // raw: reference = cell expected
-        continue;
-      }
-      if (resolved.bivariate) {
-        throw ServeError(400, "bad_request",
-                         "'ys' requires bivariate programs; got a flat "
-                         "coefficient vector (arities cannot mix)");
-      }
-      for (double c : spec.coefficients) {
-        if (!(c >= 0.0 && c <= 1.0)) {
-          throw ServeError(400, "bad_request",
-                           "coefficients must be finite and lie in [0, 1]");
-        }
-      }
-      stochastic::BernsteinPoly poly(spec.coefficients);
-      if (poly.degree() == 0) poly = poly.elevated();  // circuit minimum
-      if (poly.degree() > engine::PackedKernel::kMaxOrder) {
-        throw ServeError(400, "bad_request",
-                         "coefficient degree exceeds the kernel order limit (" +
-                             std::to_string(engine::PackedKernel::kMaxOrder) +
-                             ")");
-      }
-      target_order = std::max(target_order, poly.degree());
-      polys.push_back(std::move(poly));
-      resolved.holds.emplace_back();
-      resolved.refs.emplace_back();  // raw: reference = cell expected
-      continue;
+/// `program` degree-elevated (value-preserving) to the per-axis `orders`
+/// one kernel pass runs at.
+stochastic::SeparableProgram elevated_to(
+    stochastic::SeparableProgram program,
+    const std::vector<std::size_t>& orders) {
+  if (program.has_dense1()) {
+    const stochastic::BernsteinPoly& poly = program.dense1();
+    if (poly.degree() == orders[0]) return program;
+    return stochastic::SeparableProgram(
+        poly.elevated(orders[0] - poly.degree()));
+  }
+  if (program.has_dense2()) {
+    const stochastic::BernsteinPoly2& poly = program.dense2();
+    if (poly.deg_x() == orders[0] && poly.deg_y() == orders[1]) {
+      return program;
     }
+    return stochastic::SeparableProgram(poly.elevated(
+        orders[0] - poly.deg_x(), orders[1] - poly.deg_y()));
+  }
+  if (program.factor_degree() == orders[0]) return program;
+  return program.elevated_to(orders[0]);
+}
 
-    const compile::RegistryFunction* fn =
-        compile::find_function(spec.function_id);
-    if (fn != nullptr) {
-      if (resolved.bivariate) {
-        throw ServeError(400, "bad_request",
-                         "function '" + spec.function_id +
-                             "' is univariate but the request carries 'ys' "
-                             "(arities cannot mix)");
-      }
-      compile::CompileOptions opts = options_.compile;
-      opts.projection.max_degree = spec.degree.value_or(fn->degree);
-      if (request.sng_width.has_value()) opts.sng_width = *request.sng_width;
-
-      // Cold-compile admission: expensive high-degree pipelines only run
-      // when the program is already resident.
-      if (opts.projection.max_degree > options_.max_cold_degree &&
-          !compiler_.cache().contains(
-              compile::make_program_key(spec.function_id, opts))) {
-        throw ServeError(
-            429, "compile_budget",
-            "cold compile at degree " +
-                std::to_string(opts.projection.max_degree) +
-                " exceeds the admission budget (max_cold_degree = " +
-                std::to_string(options_.max_cold_degree) + ")");
-      }
-
-      std::shared_ptr<const compile::CompiledProgram> program;
-      try {
-        program = compiler_.compile(spec.function_id, fn->f, opts);
-      } catch (const std::invalid_argument& e) {
-        throw ServeError(400, "bad_request", e.what());
-      }
-      target_order = std::max(target_order, program->circuit_order());
-      polys.push_back(program->poly());
-      resolved.holds.push_back(std::move(program));
-      resolved.refs.push_back(fn->f);  // shadow reference: the registry f
-      continue;
-    }
-
-    const compile::RegistryFunction2* fn2 =
-        compile::find_function2(spec.function_id);
-    if (fn2 == nullptr) {
-      throw ServeError(404, "unknown_function",
-                       "unknown function '" + spec.function_id + "'");
-    }
-    if (!resolved.bivariate) {
+void check_unit_coefficients(const std::vector<double>& coefficients) {
+  for (double c : coefficients) {
+    if (!(c >= 0.0 && c <= 1.0)) {
       throw ServeError(400, "bad_request",
-                       "bivariate function '" + spec.function_id +
-                           "' needs 'ys' (arities cannot mix)");
+                       "coefficients must be finite and lie in [0, 1]");
     }
-    compile::CompileOptions opts = options_.compile;
-    // A request 'degree' caps both axes; otherwise the registry's
-    // per-axis recommendation applies.
-    opts.projection2.max_degree_x = spec.degree.value_or(fn2->degree_x);
-    opts.projection2.max_degree_y = spec.degree.value_or(fn2->degree_y);
-    if (request.sng_width.has_value()) opts.sng_width = *request.sng_width;
+  }
+}
 
-    // Cold-compile admission on the larger axis cap: the pipeline cost
-    // scales with the coefficient grid, which either axis can blow up.
-    const std::size_t cold_degree = std::max(opts.projection2.max_degree_x,
-                                             opts.projection2.max_degree_y);
-    if (cold_degree > options_.max_cold_degree &&
-        !compiler_.cache().contains(
-            compile::make_program_key2(spec.function_id, opts))) {
-      throw ServeError(
-          429, "compile_budget",
-          "cold compile at degree " + std::to_string(cold_degree) +
-              " exceeds the admission budget (max_cold_degree = " +
-              std::to_string(options_.max_cold_degree) + ")");
+/// A raw-coefficient program spec as a dense program of the request's
+/// arity, lifted to the one-data-channel-per-input circuit minimum.
+stochastic::SeparableProgram raw_program(const ProgramSpec& spec,
+                                         std::size_t arity) {
+  if (arity > 2) {
+    throw ServeError(400, "bad_request",
+                     "raw 'coefficients' programs are univariate or "
+                     "bivariate; N-ary 'inputs' requests name separable "
+                     "catalogue functions");
+  }
+  if (spec.coefficients.empty() && spec.coefficients2.empty()) {
+    // Typed-path callers can hand over an all-empty spec; keep it a
+    // client error instead of a 500 out of BernsteinPoly.
+    throw ServeError(
+        400, "bad_request",
+        "each program needs exactly one of 'function'/'coefficients'");
+  }
+  const std::string too_deep =
+      "coefficient degree exceeds the kernel order limit (" +
+      std::to_string(engine::PackedKernel::kMaxOrder) + ")";
+  if (spec.is_raw_bivariate()) {
+    if (arity != 2) {
+      throw ServeError(400, "bad_request",
+                       "bivariate coefficient grid in a request without "
+                       "'ys' (arities cannot mix)");
     }
-
-    std::shared_ptr<const compile::CompiledProgram> program;
+    for (const std::vector<double>& row : spec.coefficients2) {
+      check_unit_coefficients(row);
+    }
+    // Typed-path callers can hand over a ragged or empty-row grid; keep
+    // it a client error instead of a 500 out of BernsteinPoly2.
+    std::optional<stochastic::BernsteinPoly2> parsed;
     try {
-      program = compiler_.compile2(spec.function_id, fn2->f, opts);
+      parsed.emplace(spec.coefficients2);
     } catch (const std::invalid_argument& e) {
       throw ServeError(400, "bad_request", e.what());
     }
-    target_order = std::max(target_order, program->circuit_order());
-    target_order_y = std::max(target_order_y, program->circuit_order_y());
-    polys2.push_back(program->poly2());
-    resolved.holds.push_back(std::move(program));
-    resolved.refs2.push_back(fn2->f);  // shadow reference: the registry f
-  }
-
-  // Pass 2: elevate every polynomial to the common order(s) (value-
-  // preserving) so one kernel pass can evaluate them all.
-  if (resolved.bivariate) {
-    resolved.polys2.reserve(polys2.size());
-    for (stochastic::BernsteinPoly2& poly : polys2) {
-      if (poly.deg_x() < target_order || poly.deg_y() < target_order_y) {
-        poly = poly.elevated(target_order - poly.deg_x(),
-                             target_order_y - poly.deg_y());
-      }
-      resolved.polys2.push_back(std::move(poly));
+    stochastic::BernsteinPoly2 poly =
+        parsed->elevated(parsed->deg_x() == 0 ? 1 : 0,
+                         parsed->deg_y() == 0 ? 1 : 0);
+    if (poly.deg_x() > engine::PackedKernel::kMaxOrder ||
+        poly.deg_y() > engine::PackedKernel::kMaxOrder) {
+      throw ServeError(400, "bad_request", too_deep);
     }
-  } else {
-    resolved.polys.reserve(polys.size());
-    for (stochastic::BernsteinPoly& poly : polys) {
-      if (poly.degree() < target_order) {
-        poly = poly.elevated(target_order - poly.degree());
-      }
-      resolved.polys.push_back(std::move(poly));
-    }
+    return stochastic::SeparableProgram(std::move(poly));
   }
-
-  for (const auto& program : resolved.holds) {
-    if (program != nullptr &&
-        program->is_bivariate() == resolved.bivariate &&
-        program->circuit_order() == target_order &&
-        (!resolved.bivariate ||
-         program->circuit_order_y() == target_order_y)) {
-      resolved.kernel = program->kernel();
-      resolved.design_point = program->design_point();
-      resolved.circuit = &program->circuit();
-      break;
-    }
+  if (arity == 2) {
+    throw ServeError(400, "bad_request",
+                     "'ys' requires bivariate programs; got a flat "
+                     "coefficient vector (arities cannot mix)");
   }
-  if (resolved.kernel == nullptr) {
-    const OrderEngine& fallback =
-        resolved.bivariate ? order_engine2(target_order, target_order_y)
-                           : order_engine(target_order);
-    resolved.kernel = fallback.kernel;
-    resolved.design_point = fallback.design_point;
-    resolved.circuit = fallback.circuit.get();
+  check_unit_coefficients(spec.coefficients);
+  stochastic::BernsteinPoly poly(spec.coefficients);
+  if (poly.degree() == 0) poly = poly.elevated();  // circuit minimum
+  if (poly.degree() > engine::PackedKernel::kMaxOrder) {
+    throw ServeError(400, "bad_request", too_deep);
   }
-  return resolved;
+  return stochastic::SeparableProgram(std::move(poly));
 }
 
-ProgramServer::Resolved ProgramServer::resolve_nd(
-    const ServeRequest& request) {
-  Resolved resolved;
-  resolved.arity = request.inputs.size();
-  resolved.labels.reserve(request.programs.size());
+}  // namespace
 
-  // Pass 1: compile every program (all must come from the N-ary separable
-  // catalogue - raw coefficient specs have no N-ary spelling) and find
-  // the common factor order the shared univariate kernel runs at.
-  std::size_t target_order = 1;
+ProgramServer::Resolved ProgramServer::resolve(const ServeRequest& request) {
+  Resolved resolved;
+  resolved.labels.reserve(request.programs.size());
+  // The request's arity is its axis count: the 'inputs' columns (three or
+  // more; one- and two-axis 'inputs' were lowered onto 'xs'/'ys' before
+  // this point), else 'xs' plus an optional 'ys'. Every program must match
+  // it (arities cannot mix within one batch).
+  resolved.arity = !request.inputs.empty() ? request.inputs.size()
+                   : request.ys.empty()    ? 1
+                                           : 2;
+  const std::size_t arity = resolved.arity;
+
+  // Pass 1: compile (or accept) every program. `holds` and `refs` stay
+  // parallel to the request's program list (nullptr / empty for
+  // raw-coefficient entries).
   std::vector<stochastic::SeparableProgram> programs;
   programs.reserve(request.programs.size());
   for (const ProgramSpec& spec : request.programs) {
     resolved.labels.push_back(spec.display_id());
     if (spec.is_raw()) {
-      throw ServeError(400, "bad_request",
-                       "raw 'coefficients' programs are univariate or "
-                       "bivariate; N-ary 'inputs' requests name separable "
-                       "catalogue functions");
+      programs.push_back(raw_program(spec, arity));
+      resolved.holds.emplace_back();
+      resolved.refs.emplace_back();  // raw: reference = cell expected
+      continue;
     }
-    const compile::RegistryFunctionN* fn =
-        compile::find_function_nd(spec.function_id);
-    if (fn == nullptr) {
-      if (compile::find_function(spec.function_id) != nullptr ||
-          compile::find_function2(spec.function_id) != nullptr) {
-        throw ServeError(400, "bad_request",
-                         "function '" + spec.function_id + "' does not take " +
-                             std::to_string(resolved.arity) +
-                             " inputs (arities cannot mix)");
-      }
-      throw ServeError(404, "unknown_function",
-                       "unknown function '" + spec.function_id + "'");
-    }
-    if (fn->arity != resolved.arity) {
-      throw ServeError(400, "bad_request",
-                       "function '" + spec.function_id + "' takes " +
-                           std::to_string(fn->arity) +
-                           " inputs but the request carries " +
-                           std::to_string(resolved.arity) +
-                           " 'inputs' axes");
-    }
+
     compile::CompileOptions opts = options_.compile;
-    opts.projection_nd.degree = spec.degree.value_or(fn->degree);
-    opts.projection_nd.max_terms = fn->max_terms;
     if (request.sng_width.has_value()) opts.sng_width = *request.sng_width;
-
-    // Cold-compile admission, same budget as the dense paths: the ALS
-    // pipeline cost scales with the factor degree.
-    if (opts.projection_nd.degree > options_.max_cold_degree &&
-        !compiler_.cache().contains(compile::make_program_key_nd(
-            spec.function_id, fn->arity, opts))) {
-      throw ServeError(
-          429, "compile_budget",
-          "cold compile at degree " +
-              std::to_string(opts.projection_nd.degree) +
-              " exceeds the admission budget (max_cold_degree = " +
-              std::to_string(options_.max_cold_degree) + ")");
-    }
-
+    // Cold-compile admission: expensive high-degree pipelines only run
+    // when the program is already resident.
+    const auto admit = [this](std::size_t degree,
+                              const compile::ProgramKey& key) {
+      if (degree > options_.max_cold_degree &&
+          !compiler_.cache().contains(key)) {
+        throw ServeError(
+            429, "compile_budget",
+            "cold compile at degree " + std::to_string(degree) +
+                " exceeds the admission budget (max_cold_degree = " +
+                std::to_string(options_.max_cold_degree) + ")");
+      }
+    };
     std::shared_ptr<const compile::CompiledProgram> program;
+    std::function<double(const std::vector<double>&)> ref;
     try {
-      program = compiler_.compile_nd(spec.function_id, fn->arity, fn->f,
-                                     opts);
+      if (arity > 2) {
+        const compile::RegistryFunctionN* fn =
+            compile::find_function_nd(spec.function_id);
+        if (fn == nullptr) {
+          if (compile::find_function(spec.function_id) != nullptr ||
+              compile::find_function2(spec.function_id) != nullptr) {
+            throw ServeError(400, "bad_request",
+                             "function '" + spec.function_id +
+                                 "' does not take " + std::to_string(arity) +
+                                 " inputs (arities cannot mix)");
+          }
+          throw ServeError(404, "unknown_function",
+                           "unknown function '" + spec.function_id + "'");
+        }
+        if (fn->arity != arity) {
+          throw ServeError(400, "bad_request",
+                           "function '" + spec.function_id + "' takes " +
+                               std::to_string(fn->arity) +
+                               " inputs but the request carries " +
+                               std::to_string(arity) + " 'inputs' axes");
+        }
+        opts.projection_nd.degree = spec.degree.value_or(fn->degree);
+        opts.projection_nd.max_terms = fn->max_terms;
+        // Same budget as the dense paths: the ALS pipeline cost scales
+        // with the factor degree.
+        admit(opts.projection_nd.degree,
+              compile::make_program_key_nd(spec.function_id, fn->arity, opts));
+        program =
+            compiler_.compile_nd(spec.function_id, fn->arity, fn->f, opts);
+        ref = fn->f;
+      } else if (const compile::RegistryFunction* fn =
+                     compile::find_function(spec.function_id)) {
+        if (arity == 2) {
+          throw ServeError(400, "bad_request",
+                           "function '" + spec.function_id +
+                               "' is univariate but the request carries "
+                               "'ys' (arities cannot mix)");
+        }
+        opts.projection.max_degree = spec.degree.value_or(fn->degree);
+        admit(opts.projection.max_degree,
+              compile::make_program_key(spec.function_id, opts));
+        program = compiler_.compile(spec.function_id, fn->f, opts);
+        ref = [f = fn->f](const std::vector<double>& p) { return f(p[0]); };
+      } else if (const compile::RegistryFunction2* fn2 =
+                     compile::find_function2(spec.function_id)) {
+        if (arity == 1) {
+          throw ServeError(400, "bad_request",
+                           "bivariate function '" + spec.function_id +
+                               "' needs 'ys' (arities cannot mix)");
+        }
+        // A request 'degree' caps both axes; otherwise the registry's
+        // per-axis recommendation applies.
+        opts.projection2.max_degree_x = spec.degree.value_or(fn2->degree_x);
+        opts.projection2.max_degree_y = spec.degree.value_or(fn2->degree_y);
+        // Admission on the larger axis cap: the pipeline cost scales with
+        // the coefficient grid, which either axis can blow up.
+        admit(std::max(opts.projection2.max_degree_x,
+                       opts.projection2.max_degree_y),
+              compile::make_program_key2(spec.function_id, opts));
+        program = compiler_.compile2(spec.function_id, fn2->f, opts);
+        ref = [f = fn2->f](const std::vector<double>& p) {
+          return f(p[0], p[1]);
+        };
+      } else {
+        throw ServeError(404, "unknown_function",
+                         "unknown function '" + spec.function_id + "'");
+      }
     } catch (const std::invalid_argument& e) {
       throw ServeError(400, "bad_request", e.what());
     }
-    target_order = std::max(target_order, program->circuit_order());
-    programs.push_back(program->program_nd());
+    programs.push_back(arity > 2  ? program->program_nd()
+                       : arity == 2 ? stochastic::SeparableProgram(
+                                          program->poly2())
+                                    : stochastic::SeparableProgram(
+                                          program->poly()));
     resolved.holds.push_back(std::move(program));
-    resolved.refs_nd.push_back(fn->f);  // shadow reference: the registry f
+    resolved.refs.push_back(std::move(ref));  // shadow reference: registry f
   }
 
-  // Pass 2: elevate every factor to the common order (value-preserving)
-  // so one univariate kernel pass serves every term of every program.
-  resolved.programs_nd.reserve(programs.size());
+  // Pass 2: elevate every program to the common per-axis orders (value-
+  // preserving) so one kernel pass can evaluate them all. The circuit
+  // minimum is order 1 on every axis.
+  std::vector<std::size_t> target(arity == 2 ? 2 : 1, 1);
+  for (const stochastic::SeparableProgram& program : programs) {
+    const std::vector<std::size_t> orders = kernel_orders(program);
+    for (std::size_t a = 0; a < target.size(); ++a) {
+      target[a] = std::max(target[a], orders[a]);
+    }
+  }
+  resolved.programs.reserve(programs.size());
   for (stochastic::SeparableProgram& program : programs) {
-    resolved.programs_nd.push_back(program.factor_degree() < target_order
-                                       ? program.elevated_to(target_order)
-                                       : std::move(program));
+    resolved.programs.push_back(elevated_to(std::move(program), target));
   }
 
   for (const auto& program : resolved.holds) {
-    if (program != nullptr && program->is_nd() &&
-        program->circuit_order() == target_order) {
+    if (program != nullptr && program->kernel()->orders() == target) {
       resolved.kernel = program->kernel();
       resolved.design_point = program->design_point();
       resolved.circuit = &program->circuit();
@@ -623,7 +541,7 @@ ProgramServer::Resolved ProgramServer::resolve_nd(
     }
   }
   if (resolved.kernel == nullptr) {
-    const OrderEngine& fallback = order_engine(target_order);
+    const OrderEngine& fallback = order_engine(target);
     resolved.kernel = fallback.kernel;
     resolved.design_point = fallback.design_point;
     resolved.circuit = fallback.circuit.get();
@@ -793,18 +711,24 @@ ServeResponse ProgramServer::evaluate(const ServeRequest& request,
 
   const oscs::OperatingPoint op = resolve_operating_point(request, resolved);
 
+  // One batch form for every arity: programs over per-axis input columns.
+  // The coordinates are range-checked here under the request's own member
+  // names (the engine would name every column inputs[a]).
   const bool nd = resolved.arity > 2;
   engine::BatchRequest batch;
+  batch.programs_nd = std::move(resolved.programs);
   if (nd) {
-    batch.programs_nd = resolved.programs_nd;
     batch.inputs = request.inputs;
-  } else if (resolved.bivariate) {
-    batch.polynomials2 = resolved.polys2;
-    batch.ys = request.ys;
-    batch.xs = request.xs;
+    for (std::size_t axis = 0; axis < batch.inputs.size(); ++axis) {
+      raise(arity::unit_range_error(arity::kWireStyle,
+                                    "inputs[" + std::to_string(axis) + "]",
+                                    batch.inputs[axis]));
+    }
   } else {
-    batch.polynomials = resolved.polys;
-    batch.xs = request.xs;
+    raise(arity::unit_range_error(arity::kWireStyle, "xs", request.xs));
+    raise(arity::unit_range_error(arity::kWireStyle, "ys", request.ys));
+    batch.inputs = {request.xs};
+    if (resolved.arity == 2) batch.inputs.push_back(request.ys);
   }
   batch.stream_lengths = request.stream_lengths;
   batch.repeats = request.repeats;
@@ -825,9 +749,8 @@ ServeResponse ProgramServer::evaluate(const ServeRequest& request,
     try {
       const engine::BatchRunner runner(resolved.kernel,
                                        resolved.design_point);
-      summary = nd ? runner.run_nd(batch, *pool)
-                   : (response.fused ? runner.run_fused(batch, *pool)
-                                     : runner.run(batch, *pool));
+      summary = response.fused ? runner.run_fused(batch, *pool)
+                               : runner.run_nd(batch, *pool);
     } catch (const std::invalid_argument& e) {
       release_pool(std::move(pool));
       // Everything the engine rejects traces back to request content.
@@ -851,7 +774,7 @@ ServeResponse ProgramServer::evaluate(const ServeRequest& request,
     CellResult out;
     out.program = resolved.labels[cell.poly_index];
     out.x = cell.x;
-    out.bivariate = resolved.bivariate;
+    out.bivariate = resolved.arity == 2;
     out.y = cell.y;
     if (nd) out.point = cell.point;  // serialized as the "inputs" array
     out.stream_length = cell.stream_length;
@@ -878,14 +801,8 @@ ServeResponse ProgramServer::evaluate(const ServeRequest& request,
       // certificate measured); raw-coefficient programs against the
       // engine's exact Bernstein value - the same reference that already
       // backs the response's `expected` field.
-      double reference = cell.expected;
-      if (nd) {
-        if (resolved.refs_nd[pi]) reference = resolved.refs_nd[pi](cell.point);
-      } else if (resolved.bivariate) {
-        if (resolved.refs2[pi]) reference = resolved.refs2[pi](cell.x, cell.y);
-      } else {
-        if (resolved.refs[pi]) reference = resolved.refs[pi](cell.x);
-      }
+      const double reference =
+          resolved.refs[pi] ? resolved.refs[pi](cell.point) : cell.expected;
       shadow[pi].observed_error += std::abs(cell.optical_mean - reference);
       ++counts[pi];
     }
@@ -910,8 +827,9 @@ ServeResponse ProgramServer::evaluate(const ServeRequest& request,
   response.latency.total_us = trace.elapsed_us();
   // Completion is three arity counters; `completed` is derived as their
   // sum at snapshot time, so the invariant holds without a lock here.
-  (nd ? completed_nd_
-      : resolved.bivariate ? completed_bivariate_ : completed_univariate_)
+  (nd                        ? completed_nd_
+   : resolved.arity == 2 ? completed_bivariate_
+                         : completed_univariate_)
       .inc();
   return response;
 }

@@ -232,29 +232,21 @@ class ProgramServer {
   }
 
  private:
-  /// A request's programs resolved onto one common circuit order (one
-  /// common per-axis order pair for bivariate requests).
+  /// A request's programs resolved onto one common set of per-axis kernel
+  /// orders.
   struct Resolved {
-    bool bivariate = false;  ///< request resolved onto the two-input path
-    /// Request input count: 1 (univariate), 2 (bivariate) or the N-ary
-    /// axis count. Above 2, `programs_nd`/`refs_nd` are the populated
-    /// vectors and the request runs the separable lattice path.
+    /// Request input count: 1 (xs), 2 (xs + ys) or the N-ary axis count.
     std::size_t arity = 1;
-    std::vector<stochastic::BernsteinPoly> polys;  ///< elevated to order
-    /// Bivariate programs, elevated to the common per-axis orders
-    /// (populated instead of `polys` when `bivariate`).
-    std::vector<stochastic::BernsteinPoly2> polys2;
-    /// N-ary separable programs, factor-elevated to the common order
-    /// (populated instead of `polys`/`polys2` when arity > 2).
-    std::vector<stochastic::SeparableProgram> programs_nd;
-    std::vector<std::string> labels;               ///< request order
+    /// Programs elevated to the common orders: dense univariate /
+    /// tensor-product forms for one and two inputs, sum-of-rank-1 forms
+    /// above that.
+    std::vector<stochastic::SeparableProgram> programs;
+    std::vector<std::string> labels;  ///< request order
     /// Double-precision reference functions, parallel to `labels`: the
     /// registry f for registry programs, empty for raw-coefficient ones
     /// (their reference is the cell's exact Bernstein `expected`). The
-    /// shadow path reads these; only one arity's vector is populated.
-    std::vector<std::function<double(double)>> refs;
-    std::vector<std::function<double(double, double)>> refs2;
-    std::vector<std::function<double(const std::vector<double>&)>> refs_nd;
+    /// shadow path reads these.
+    std::vector<std::function<double(const std::vector<double>&)>> refs;
     std::shared_ptr<const engine::PackedKernel> kernel;
     oscs::OperatingPoint design_point{};
     /// Circuit behind `kernel` (link-budget derivations); owned via
@@ -264,8 +256,8 @@ class ProgramServer {
     std::vector<std::shared_ptr<const compile::CompiledProgram>> holds;
   };
 
-  /// Fallback execution engine for orders no compiled program provides
-  /// (raw-coefficient programs, mixed-order fusions).
+  /// Fallback execution engine for per-axis orders no compiled program
+  /// provides (raw-coefficient programs, mixed-order fusions).
   struct OrderEngine {
     std::shared_ptr<const optsc::OpticalScCircuit> circuit;
     std::shared_ptr<const engine::PackedKernel> kernel;
@@ -291,16 +283,13 @@ class ProgramServer {
   /// thread-local scope).
   [[nodiscard]] ServeResponse evaluate(const ServeRequest& request,
                                        obs::Trace& trace);
+  /// Compile (or accept) every program of the request's arity and elevate
+  /// them onto one kernel: dense forms to common per-axis orders, N-ary
+  /// separable programs ('inputs' with three or more axes) to one common
+  /// factor order on a one-axis kernel.
   [[nodiscard]] Resolved resolve(const ServeRequest& request);
-  /// N-ary ('inputs') resolution: every program must name a separable
-  /// catalogue function of the request's axis count; factors elevate to
-  /// one common order served by a univariate kernel.
-  [[nodiscard]] Resolved resolve_nd(const ServeRequest& request);
-  [[nodiscard]] const OrderEngine& order_engine(std::size_t order);
-  /// Fallback engine for bivariate order pairs no compiled program
-  /// provides (raw grids, mixed-order fusions).
-  [[nodiscard]] const OrderEngine& order_engine2(std::size_t order_x,
-                                                 std::size_t order_y);
+  [[nodiscard]] const OrderEngine& order_engine(
+      const std::vector<std::size_t>& orders);
   [[nodiscard]] oscs::OperatingPoint resolve_operating_point(
       const ServeRequest& request, const Resolved& resolved) const;
   void count_error(const std::string& reason);
@@ -317,8 +306,8 @@ class ProgramServer {
   compile::Compiler compiler_;
 
   mutable std::mutex engines_mutex_;
-  std::map<std::size_t, OrderEngine> order_engines_;
-  std::map<std::pair<std::size_t, std::size_t>, OrderEngine> order_engines2_;
+  /// Keyed by per-axis kernel orders.
+  std::map<std::vector<std::size_t>, OrderEngine> order_engines_;
 
   std::mutex pools_mutex_;
   std::vector<std::unique_ptr<engine::ThreadPool>> idle_pools_;

@@ -13,11 +13,10 @@
 ///        engine - so arbitrary arity runs on the existing fused 1D
 ///        kernels instead of an exponential N-D LUT.
 ///
-/// The N=1 and N=2 programs keep their exact legacy representation (a
-/// dense BernsteinPoly / tensor-product BernsteinPoly2) inside the same
-/// type: `PackedKernel::run_nd` delegates those to the legacy run/run2
-/// paths, which makes the unified entry point bit-identical to the code
-/// it replaces.
+/// The N=1 and N=2 programs keep their dense representation (a
+/// BernsteinPoly / tensor-product BernsteinPoly2) inside the same type:
+/// `PackedKernel::run_nd` runs those as one dense MUX pass over one select
+/// plane set per axis.
 
 #include <cstddef>
 #include <optional>
@@ -50,21 +49,21 @@ class SeparableProgram {
   ///         term that are not strictly increasing.
   SeparableProgram(std::size_t arity, std::vector<SeparableTerm> terms);
 
-  /// Dense univariate form (N=1): the legacy BernsteinPoly program. Also
+  /// Dense univariate form (N=1): a BernsteinPoly program. Also
   /// representable as one rank-1 term (weight 1, one factor), and the
-  /// terms() view reflects that; run_nd delegates to the legacy path.
+  /// terms() view reflects that; run_nd runs it as one dense MUX pass.
   explicit SeparableProgram(BernsteinPoly dense);
 
-  /// Dense bivariate form (N=2): the legacy tensor-product program. A
-  /// general surface is not a short rank-1 sum, so this form has no
-  /// terms() view; run_nd delegates to the legacy run2 path.
+  /// Dense bivariate form (N=2): a tensor-product program. A general
+  /// surface is not a short rank-1 sum, so this form has no terms() view;
+  /// run_nd runs it as one two-axis dense MUX pass.
   explicit SeparableProgram(BernsteinPoly2 dense);
 
   /// Number of inputs the program reads.
   [[nodiscard]] std::size_t arity() const noexcept { return arity_; }
 
   /// True when the program carries the dense univariate / bivariate
-  /// legacy representation (run_nd takes the bit-identical legacy path).
+  /// representation (run_nd takes the dense MUX path).
   [[nodiscard]] bool has_dense1() const noexcept {
     return dense1_.has_value();
   }

@@ -1,7 +1,7 @@
 #pragma once
 /// \file sng_fill.hpp
 /// \brief Bulk comparator fill for SNG stream generation - the dominant
-///        cost of a packed evaluation (profiling: ~95% of run() at 4096
+///        cost of a packed evaluation (profiling: ~95% of a packed run at 4096
 ///        bits went through the per-bit virtual RandomSource::next()
 ///        loop).
 ///

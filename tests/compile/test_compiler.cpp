@@ -123,7 +123,8 @@ TEST(CompiledProgramTest, KernelKeepsCircuitAliveAfterProgramDies) {
   eng::PackedRunConfig config;
   config.op.stream_length = 256;
   const eng::PackedRunResult r =
-      kernel->run(sc::BernsteinPoly({0.3, 0.7}), 0.5, config);
+      kernel->run_nd(sc::SeparableProgram(sc::BernsteinPoly({0.3, 0.7})),
+                     {0.5}, config);
   EXPECT_EQ(r.length, 256u);
 }
 
@@ -179,7 +180,9 @@ TEST(CompiledProgramTest, Degree0ProgramMatchesReSCUnitBitForBit) {
     const sc::ScInputs inputs =
         sc::make_sc_inputs(x, program->poly().coeffs(), 1, 1000, stimulus);
     const eng::PackedKernel::Streams streams =
-        program->kernel()->evaluate(inputs);
+        program->kernel()
+            ->evaluate({&inputs.x_streams}, {&inputs.z_streams})
+            .front();
     EXPECT_TRUE(streams.electronic == unit.output_stream(inputs))
         << "x=" << x;
   }
@@ -205,7 +208,9 @@ TEST(CompiledProgramTest, Degree1ProgramMatchesReSCUnitBitForBit) {
     const sc::ScInputs inputs =
         sc::make_sc_inputs(0.5, program->poly().coeffs(), 1, length, stimulus);
     const eng::PackedKernel::Streams streams =
-        program->kernel()->evaluate(inputs);
+        program->kernel()
+            ->evaluate({&inputs.x_streams}, {&inputs.z_streams})
+            .front();
     EXPECT_TRUE(streams.electronic == unit.output_stream(inputs))
         << "length=" << length;
     // And the de-randomized estimates agree exactly.

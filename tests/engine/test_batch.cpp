@@ -52,14 +52,14 @@ TEST(BatchRunner, RejectsOrderMismatch) {
   const BatchRunner runner(c);
   BatchRequest req = small_request();
   req.polynomials.push_back(sc::paper_f2_bernstein());  // degree 3
-  EXPECT_THROW((void)runner.run(req, 1), std::invalid_argument);
+  EXPECT_THROW((void)runner.run_nd(req, 1), std::invalid_argument);
 }
 
 TEST(BatchRunner, CellsComeBackInGridOrderWithSaneStats) {
   const OpticalScCircuit c(paper_defaults());
   const BatchRunner runner(c);
   const BatchRequest req = small_request();
-  const BatchSummary summary = runner.run(req, 2);
+  const BatchSummary summary = runner.run_nd(req, 2);
 
   ASSERT_EQ(summary.cells.size(), req.cells());
   EXPECT_EQ(summary.tasks, req.tasks());
@@ -99,9 +99,9 @@ TEST(BatchRunner, ResultsAreBitIdenticalForEveryThreadCount) {
   const BatchRunner runner(c);
   const BatchRequest req = small_request();
 
-  const BatchSummary one = runner.run(req, 1);
+  const BatchSummary one = runner.run_nd(req, 1);
   for (std::size_t threads : {2u, 4u}) {
-    const BatchSummary many = runner.run(req, threads);
+    const BatchSummary many = runner.run_nd(req, threads);
     ASSERT_EQ(many.cells.size(), one.cells.size());
     for (std::size_t i = 0; i < one.cells.size(); ++i) {
       EXPECT_DOUBLE_EQ(many.cells[i].optical_mean, one.cells[i].optical_mean);
@@ -122,8 +122,8 @@ TEST(BatchRunner, ReusesAnExternalPoolAndMatchesTheConvenienceOverload) {
   const BatchRunner runner(c);
   const BatchRequest req = small_request();
   ThreadPool pool(3);
-  const BatchSummary a = runner.run(req, pool);
-  const BatchSummary b = runner.run(req, 3);
+  const BatchSummary a = runner.run_nd(req, pool);
+  const BatchSummary b = runner.run_nd(req, 3);
   ASSERT_EQ(a.cells.size(), b.cells.size());
   for (std::size_t i = 0; i < a.cells.size(); ++i) {
     EXPECT_DOUBLE_EQ(a.cells[i].optical_mean, b.cells[i].optical_mean);
@@ -134,9 +134,9 @@ TEST(BatchRunner, MasterSeedSelectsTheMonteCarloSample) {
   const OpticalScCircuit c(paper_defaults());
   const BatchRunner runner(c);
   BatchRequest req = small_request();
-  const BatchSummary a = runner.run(req, 2);
+  const BatchSummary a = runner.run_nd(req, 2);
   req.seed = 12;
-  const BatchSummary b = runner.run(req, 2);
+  const BatchSummary b = runner.run_nd(req, 2);
   bool any_different = false;
   for (std::size_t i = 0; i < a.cells.size(); ++i) {
     if (a.cells[i].optical_mean != b.cells[i].optical_mean) {
@@ -153,7 +153,7 @@ TEST(BatchRunner, ProgramAccuracyReconcilesWithCells) {
   const OpticalScCircuit c(paper_defaults());
   const BatchRunner runner(c);
   const BatchRequest req = small_request();
-  const BatchSummary summary = runner.run(req, 2);
+  const BatchSummary summary = runner.run_nd(req, 2);
 
   ASSERT_EQ(summary.program_accuracy.size(), req.polynomials.size());
   for (std::size_t pi = 0; pi < req.polynomials.size(); ++pi) {

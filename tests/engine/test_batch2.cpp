@@ -1,4 +1,4 @@
-/// Bivariate batch-runner tests: (x, y) pair evaluation through run() and
+/// Bivariate batch-runner tests: (x, y) pair evaluation through run_nd() and
 /// run_fused(), the shared error contract of the two entry points for the
 /// two-input arity (mismatched x/y lengths, arity/kernel mismatches), the
 /// per-cell y coordinate, and thread-count determinism.
@@ -6,11 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
 #include "engine/batch.hpp"
 #include "optsc/defaults.hpp"
+#include "optsc/link_budget.hpp"
 
 namespace oscs::engine {
 namespace {
@@ -36,8 +38,11 @@ BatchRequest valid_request2() {
 }
 
 const BatchRunner& runner2() {
+  static const optsc::OpticalScCircuit circuit(optsc::paper_defaults(1));
   static const BatchRunner instance{
-      optsc::OpticalScCircuit(optsc::paper_defaults(1)), 1, 1};
+      std::make_shared<const PackedKernel>(circuit,
+                                           std::vector<std::size_t>{1, 1}),
+      optsc::design_operating_point(circuit)};
   return instance;
 }
 
@@ -45,7 +50,7 @@ const BatchRunner& runner2() {
 /// each (mirroring the univariate test_batch_validation suite).
 using Entry = BatchSummary (*)(const BatchRequest&);
 BatchSummary run_entry(const BatchRequest& req) {
-  return runner2().run(req, /*threads=*/1);
+  return runner2().run_nd(req, /*threads=*/1);
 }
 BatchSummary run_fused_entry(const BatchRequest& req) {
   return runner2().run_fused(req, /*threads=*/1);
@@ -119,7 +124,7 @@ TEST_P(BivariateBatchValidationTest, RejectsArityKernelMismatch) {
   // ...and a bivariate request on a univariate runner.
   static const BatchRunner uni_runner{
       optsc::OpticalScCircuit(optsc::paper_defaults(1))};
-  EXPECT_THROW((void)uni_runner.run(valid_request2(), /*threads=*/1),
+  EXPECT_THROW((void)uni_runner.run_nd(valid_request2(), /*threads=*/1),
                std::invalid_argument);
 }
 
@@ -137,7 +142,7 @@ TEST(BivariateBatchTest, EstimatesTrackTheSurface) {
   req.ys = {0.7, 0.5, 0.1};
   req.stream_lengths = {4096};
   req.repeats = 8;
-  const BatchSummary summary = runner2().run(req, /*threads=*/2);
+  const BatchSummary summary = runner2().run_nd(req, /*threads=*/2);
   ASSERT_EQ(summary.cells.size(), 6u);
   for (const BatchCell& cell : summary.cells) {
     EXPECT_NEAR(cell.optical_mean, cell.expected, 0.03)
@@ -150,8 +155,8 @@ TEST(BivariateBatchTest, EstimatesTrackTheSurface) {
 TEST(BivariateBatchTest, DeterministicAcrossThreadCounts) {
   BatchRequest req = valid_request2();
   req.repeats = 4;
-  const BatchSummary one = runner2().run(req, /*threads=*/1);
-  const BatchSummary many = runner2().run(req, /*threads=*/4);
+  const BatchSummary one = runner2().run_nd(req, /*threads=*/1);
+  const BatchSummary many = runner2().run_nd(req, /*threads=*/4);
   ASSERT_EQ(one.cells.size(), many.cells.size());
   for (std::size_t i = 0; i < one.cells.size(); ++i) {
     EXPECT_DOUBLE_EQ(one.cells[i].optical_mean, many.cells[i].optical_mean);
@@ -161,7 +166,7 @@ TEST(BivariateBatchTest, DeterministicAcrossThreadCounts) {
 TEST(BivariateBatchTest, FusedMatchesUnfusedForOneProgram) {
   BatchRequest req = valid_request2();
   req.repeats = 4;
-  const BatchSummary unfused = runner2().run(req, /*threads=*/2);
+  const BatchSummary unfused = runner2().run_nd(req, /*threads=*/2);
   const BatchSummary fused = runner2().run_fused(req, /*threads=*/2);
   ASSERT_EQ(unfused.cells.size(), fused.cells.size());
   for (std::size_t i = 0; i < unfused.cells.size(); ++i) {

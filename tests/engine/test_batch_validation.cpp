@@ -1,4 +1,4 @@
-/// Error-contract tests for BatchRunner: run() and run_fused() must reject
+/// Error-contract tests for BatchRunner: run_nd() and run_fused() must reject
 /// the same malformed requests with std::invalid_argument before any task
 /// is submitted. The serving layer feeds these entry points with
 /// user-supplied JSON, so every hole here is a remotely reachable one.
@@ -37,7 +37,7 @@ const BatchRunner& runner() {
 /// request through each.
 using Entry = BatchSummary (*)(const BatchRequest&);
 BatchSummary run_entry(const BatchRequest& req) {
-  return runner().run(req, /*threads=*/1);
+  return runner().run_nd(req, /*threads=*/1);
 }
 BatchSummary run_fused_entry(const BatchRequest& req) {
   return runner().run_fused(req, /*threads=*/1);

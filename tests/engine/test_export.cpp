@@ -26,7 +26,7 @@ BatchSummary small_summary() {
   request.stream_lengths = {64, 128};
   request.repeats = 2;
   request.seed = 11;
-  return runner.run(request, std::size_t{1});
+  return runner.run_nd(request, std::size_t{1});
 }
 
 std::size_t count_occurrences(const std::string& text,
@@ -100,8 +100,8 @@ TEST(BatchRunnerSharedKernel, MatchesCircuitConstructedRunner) {
   request.stream_lengths = {256};
   request.repeats = 3;
   request.seed = 21;
-  const BatchSummary a = from_circuit.run(request, std::size_t{1});
-  const BatchSummary b = from_kernel.run(request, std::size_t{2});
+  const BatchSummary a = from_circuit.run_nd(request, std::size_t{1});
+  const BatchSummary b = from_kernel.run_nd(request, std::size_t{2});
   ASSERT_EQ(a.cells.size(), b.cells.size());
   EXPECT_DOUBLE_EQ(a.cells[0].optical_mean, b.cells[0].optical_mean);
   EXPECT_DOUBLE_EQ(a.optical_mae, b.optical_mae);

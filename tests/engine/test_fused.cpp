@@ -64,10 +64,15 @@ TEST(FusedKernel, EvaluateFusedMatchesPerProgramEvaluate) {
   const sc::FusedScInputs fused =
       sc::make_fused_sc_inputs(0.55, coeffs, 3, 1000, {});
 
-  const std::vector<PackedKernel::Streams> all = kernel.evaluate_fused(fused);
+  std::vector<const std::vector<sc::Bitstream>*> z_sets;
+  for (const auto& zs : fused.z_streams) z_sets.push_back(&zs);
+  const std::vector<PackedKernel::Streams> all =
+      kernel.evaluate({&fused.x_streams}, z_sets);
   ASSERT_EQ(all.size(), polys.size());
   for (std::size_t k = 0; k < polys.size(); ++k) {
-    const PackedKernel::Streams one = kernel.evaluate(fused.program(k));
+    const sc::ScInputs program = fused.program(k);
+    const PackedKernel::Streams one =
+        kernel.evaluate({&program.x_streams}, {&program.z_streams}).front();
     EXPECT_EQ(all[k].optical, one.optical) << "program " << k;
     EXPECT_EQ(all[k].electronic, one.electronic) << "program " << k;
     // The ReSC baseline on the same shared stimulus agrees too.
@@ -85,9 +90,10 @@ TEST(FusedKernel, OneProgramFusedRunIsBitIdenticalToRun) {
   cfg.op.ber = 0.03;  // force a busy flip mask
   cfg.stimulus_seed = 5;
   cfg.noise_seed = 6;
-  const sc::BernsteinPoly poly = sc::paper_f2_bernstein();
-  const PackedRunResult single = kernel.run(poly, 0.3, cfg);
-  const std::vector<PackedRunResult> fused = kernel.run_fused({poly}, 0.3, cfg);
+  const sc::SeparableProgram program(sc::paper_f2_bernstein());
+  const PackedRunResult single = kernel.run_nd(program, {0.3}, cfg);
+  const std::vector<PackedRunResult> fused =
+      kernel.run_fused({&program, 1}, {0.3}, cfg);
   ASSERT_EQ(fused.size(), 1u);
   EXPECT_DOUBLE_EQ(fused[0].optical_estimate, single.optical_estimate);
   EXPECT_DOUBLE_EQ(fused[0].electronic_estimate, single.electronic_estimate);
@@ -101,7 +107,9 @@ TEST(FusedKernel, ProgramsShareOneFlipMaskPass) {
   PackedRunConfig cfg;
   cfg.op = design_operating_point(c).with_stream_length(4096);
   cfg.op.ber = 0.05;
-  const auto results = kernel.run_fused(order3_programs(), 0.5, cfg);
+  const auto polys = order3_programs();
+  const std::vector<sc::SeparableProgram> programs(polys.begin(), polys.end());
+  const auto results = kernel.run_fused(programs, {0.5}, cfg);
   ASSERT_EQ(results.size(), 3u);
   EXPECT_GT(results[0].noise_flips, 0u);
   // One sampled mask applied to every program.
@@ -123,7 +131,7 @@ TEST(FusedBatch, CellsMatchRunOrderAndAgreeStatistically) {
   req.repeats = 6;
   req.seed = 9;
 
-  const BatchSummary unfused = runner.run(req, std::size_t{2});
+  const BatchSummary unfused = runner.run_nd(req, std::size_t{2});
   const BatchSummary fused = runner.run_fused(req, std::size_t{2});
   ASSERT_EQ(fused.cells.size(), unfused.cells.size());
   EXPECT_EQ(fused.tasks, req.xs.size() * req.stream_lengths.size() *

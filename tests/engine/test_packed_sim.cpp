@@ -15,6 +15,19 @@ namespace oscs::engine {
 namespace {
 
 namespace sc = oscs::stochastic;
+
+/// One-program noiseless pass over univariate stimulus.
+PackedKernel::Streams evaluate_one(const PackedKernel& kernel,
+                                   const sc::ScInputs& inputs) {
+  return kernel.evaluate({&inputs.x_streams}, {&inputs.z_streams}).front();
+}
+
+/// One univariate evaluation through the kernel's one entry point.
+PackedRunResult run_one(const PackedKernel& kernel,
+                        const sc::BernsteinPoly& poly, double x,
+                        const PackedRunConfig& cfg) {
+  return kernel.run_nd(sc::SeparableProgram(poly), {x}, cfg);
+}
 using optsc::design_operating_point;
 using optsc::OpticalScCircuit;
 using optsc::paper_defaults;
@@ -61,7 +74,7 @@ TEST(PackedKernel, NoiselessPassIsBitIdenticalToPerBitPhysics) {
   for (std::size_t length : {64u, 130u, 1000u}) {
     const sc::ScInputs inputs =
         sc::make_sc_inputs(0.6, {0.1, 0.7, 0.4}, 2, length, {});
-    const PackedKernel::Streams streams = kernel.evaluate(inputs);
+    const PackedKernel::Streams streams = evaluate_one(kernel, inputs);
     ASSERT_EQ(streams.optical.size(), length);
     for (std::size_t t = 0; t < length; ++t) {
       std::vector<bool> x{inputs.x_streams[0].bit(t),
@@ -82,7 +95,7 @@ TEST(PackedKernel, ElectronicStreamMatchesReSCUnit) {
   const sc::BernsteinPoly poly = order2_poly();
   const sc::ScInputs inputs =
       sc::make_sc_inputs(0.35, poly.coeffs(), 2, 1000, {});
-  const PackedKernel::Streams streams = kernel.evaluate(inputs);
+  const PackedKernel::Streams streams = evaluate_one(kernel, inputs);
   const sc::ReSCUnit resc(poly);
   EXPECT_EQ(streams.electronic, resc.output_stream(inputs));
 }
@@ -116,9 +129,9 @@ TEST(PackedKernel, StrongLinkNoiseIsANoOp) {
   const PackedKernel kernel(c);
   PackedRunConfig cfg;
   cfg.op = design_operating_point(c).with_stream_length(4096);
-  const PackedRunResult noisy = kernel.run(order2_poly(), 0.5, cfg);
+  const PackedRunResult noisy = run_one(kernel, order2_poly(), 0.5, cfg);
   cfg.op = cfg.op.noiseless();
-  const PackedRunResult clean = kernel.run(order2_poly(), 0.5, cfg);
+  const PackedRunResult clean = run_one(kernel, order2_poly(), 0.5, cfg);
   EXPECT_EQ(noisy.noise_flips, 0u);
   EXPECT_DOUBLE_EQ(noisy.optical_estimate, clean.optical_estimate);
 }
@@ -181,7 +194,7 @@ TEST(PackedKernel, NoisyEstimateTracksTheAnalyticExpectation) {
   for (std::uint64_t rep = 0; rep < 16; ++rep) {
     cfg.stimulus_seed = 1000 + rep;
     cfg.noise_seed = 2000 + rep;
-    acc.add(kernel.run(poly, x, cfg).optical_estimate);
+    acc.add(run_one(kernel, poly, x, cfg).optical_estimate);
   }
   EXPECT_NEAR(acc.mean(), target, acc.ci_halfwidth() + 0.01);
 }
@@ -221,22 +234,22 @@ TEST(PackedKernel, RejectsBadInputs) {
   const OpticalScCircuit c(paper_defaults());
   const PackedKernel kernel(c);
   PackedRunConfig cfg;
-  EXPECT_THROW(kernel.run(sc::paper_f2_bernstein(), 0.5, cfg),
+  EXPECT_THROW(run_one(kernel, sc::paper_f2_bernstein(), 0.5, cfg),
                std::invalid_argument);  // degree 3 on an order-2 circuit
   cfg.op.stream_length = 0;
-  EXPECT_THROW(kernel.run(order2_poly(), 0.5, cfg), std::invalid_argument);
+  EXPECT_THROW(run_one(kernel, order2_poly(), 0.5, cfg), std::invalid_argument);
   cfg.op.stream_length = 64;
   cfg.op.ber = 0.75;  // outside [0, 0.5]
-  EXPECT_THROW(kernel.run(order2_poly(), 0.5, cfg), std::invalid_argument);
-  EXPECT_THROW(kernel.run_fused({}, 0.5, PackedRunConfig{}),
+  EXPECT_THROW(run_one(kernel, order2_poly(), 0.5, cfg), std::invalid_argument);
+  EXPECT_THROW(kernel.run_fused({}, {0.5}, PackedRunConfig{}),
                std::invalid_argument);
 
   sc::ScInputs bad;
   bad.x_streams.assign(2, sc::Bitstream(64));
   bad.z_streams.assign(2, sc::Bitstream(64));  // needs order + 1 = 3
-  EXPECT_THROW(kernel.evaluate(bad), std::invalid_argument);
+  EXPECT_THROW(evaluate_one(kernel, bad), std::invalid_argument);
   bad.z_streams.assign(3, sc::Bitstream(32));  // ragged vs x streams
-  EXPECT_THROW(kernel.evaluate(bad), std::invalid_argument);
+  EXPECT_THROW(evaluate_one(kernel, bad), std::invalid_argument);
 }
 
 }  // namespace

@@ -1,23 +1,24 @@
 /// \file test_separable_nd.cpp
-/// \brief Bit-identity and correctness suite for the N-ary separable
-///        entry point. run_nd at N=1/N=2 must reproduce the legacy
-///        run/run_fused/run2/run2_fused results EXACTLY - same streams,
-///        same seeds, same flip masks - across word-boundary stream
-///        lengths, zero and nonzero BER, and both SIMD backends; the
+/// \brief Correctness suite for the N-ary separable entry point: the
 ///        general sum-of-rank-1 path must track its arithmetic
-///        expectation and reject malformed requests. BatchRunner's
-///        unified lattice (run_nd) is pinned against the legacy per-cell
-///        decomposition the same way.
+///        expectation, stay bit-identical across SIMD backends and reject
+///        malformed requests; BatchRunner's `polynomials`/`xs` sugar must
+///        lower onto exactly the canonical `programs_nd`/`inputs` batch,
+///        and the engine's words counter must count one kernel pass per
+///        factor. The exact dense outputs are pinned by the golden suite
+///        (test_golden_outputs.cpp).
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
 #include "common/simd.hpp"
 #include "engine/batch.hpp"
 #include "engine/packed_sim.hpp"
+#include "obs/metrics.hpp"
 #include "optsc/defaults.hpp"
 #include "stochastic/bernstein.hpp"
 #include "stochastic/separable.hpp"
@@ -64,61 +65,6 @@ void expect_same_results(const PackedRunResult& a, const PackedRunResult& b,
       << what << " length " << length << " ber " << ber;
   ASSERT_EQ(a.electronic_estimate, b.electronic_estimate)
       << what << " length " << length << " ber " << ber;
-}
-
-/// The N=1 dense delegation: run_nd must be bit-identical to run() and to
-/// a one-program run_fused() - noise on and off, every word-boundary
-/// regime, both backends.
-TEST(SeparableRunNdBitIdentity, MatchesUnivariateRunAndFused) {
-  const optsc::OpticalScCircuit circuit(optsc::paper_defaults(3));
-  const PackedKernel kernel(circuit);
-  const sc::BernsteinPoly poly({0.1, 0.8, 0.3, 0.95});
-  const sc::SeparableProgram program(poly);
-
-  for (oscs::SimdBackend backend : available_backends()) {
-    ScopedBackend scope(backend);
-    for (std::size_t length : {1u, 63u, 64u, 65u, 4095u}) {
-      for (double ber : {0.0, 1e-2}) {
-        PackedRunConfig cfg;
-        cfg.op = test_op(ber, length);
-        cfg.stimulus_seed = 17;
-        cfg.noise_seed = 23;
-        const PackedRunResult nd = kernel.run_nd(program, {0.4}, cfg);
-        const PackedRunResult legacy = kernel.run(poly, 0.4, cfg);
-        const PackedRunResult fused =
-            kernel.run_fused({poly}, 0.4, cfg).front();
-        expect_same_results(nd, legacy, "run_nd vs run", length, ber);
-        expect_same_results(nd, fused, "run_nd vs run_fused", length, ber);
-      }
-    }
-  }
-}
-
-/// The N=2 dense delegation against run2() and one-program run2_fused().
-TEST(SeparableRunNdBitIdentity, MatchesBivariateRun2AndFused) {
-  const optsc::OpticalScCircuit circuit(optsc::paper_defaults(2));
-  const PackedKernel kernel(circuit, 2, 2);
-  const sc::BernsteinPoly2 poly(
-      2, 2, std::vector<double>{0.1, 0.5, 0.9, 0.3, 0.7, 0.2, 0.8, 0.4, 0.6});
-  const sc::SeparableProgram program(poly);
-
-  for (oscs::SimdBackend backend : available_backends()) {
-    ScopedBackend scope(backend);
-    for (std::size_t length : {1u, 63u, 64u, 65u, 4095u}) {
-      for (double ber : {0.0, 1e-2}) {
-        PackedRunConfig cfg;
-        cfg.op = test_op(ber, length);
-        cfg.stimulus_seed = 29;
-        cfg.noise_seed = 31;
-        const PackedRunResult nd = kernel.run_nd(program, {0.4, 0.7}, cfg);
-        const PackedRunResult legacy = kernel.run2(poly, 0.4, 0.7, cfg);
-        const PackedRunResult fused =
-            kernel.run2_fused({poly}, 0.4, 0.7, cfg).front();
-        expect_same_results(nd, legacy, "run_nd vs run2", length, ber);
-        expect_same_results(nd, fused, "run_nd vs run2_fused", length, ber);
-      }
-    }
-  }
 }
 
 sc::SeparableProgram rank2_trilinear() {
@@ -199,14 +145,14 @@ TEST(SeparableRunNdGeneral, RejectsMalformedRequests) {
                std::invalid_argument);
   // General programs need a univariate kernel.
   const optsc::OpticalScCircuit c2(optsc::paper_defaults(1));
-  const PackedKernel kernel2(c2, 1, 1);
+  const PackedKernel kernel2(c2, {1, 1});
   EXPECT_THROW(kernel2.run_nd(program, {0.3, 0.8, 0.6}, cfg),
                std::invalid_argument);
 }
 
-/// BatchRunner::run_nd on a dense-wrapped program list over the legacy
-/// point grid must reproduce BatchRunner::run on the raw polynomials
-/// cell for cell (same task lattice, same derived seeds).
+/// The `polynomials`/`xs` sugar and the canonical dense-wrapped
+/// `programs_nd`/`inputs` request must run the same batch cell for cell
+/// (same task lattice, same derived seeds).
 TEST(SeparableBatchRunNd, DenseWrappedBatchMatchesLegacyRun) {
   const optsc::OpticalScCircuit circuit(optsc::paper_defaults(3));
   const BatchRunner runner(circuit);
@@ -226,7 +172,7 @@ TEST(SeparableBatchRunNd, DenseWrappedBatchMatchesLegacyRun) {
   nd.repeats = legacy.repeats;
   nd.seed = legacy.seed;
 
-  const BatchSummary a = runner.run(legacy, /*threads=*/2);
+  const BatchSummary a = runner.run_nd(legacy, /*threads=*/2);
   const BatchSummary b = runner.run_nd(nd, /*threads=*/2);
   ASSERT_EQ(a.cells.size(), b.cells.size());
   for (std::size_t i = 0; i < a.cells.size(); ++i) {
@@ -238,6 +184,26 @@ TEST(SeparableBatchRunNd, DenseWrappedBatchMatchesLegacyRun) {
   }
   EXPECT_EQ(a.optical_mae, b.optical_mae);
   EXPECT_EQ(a.total_bits, b.total_bits);
+}
+
+/// run_nd runs one packed-kernel pass per factor of every term, so the
+/// words counter advances by (sum of factors) x words x points x repeats.
+TEST(SeparableBatchRunNd, WordsCounterCountsOnePassPerFactor) {
+  const optsc::OpticalScCircuit circuit(optsc::paper_defaults(1));
+  const BatchRunner runner(circuit);
+  BatchRequest request;
+  request.programs_nd = {rank2_trilinear(), rank2_trilinear()};
+  request.inputs = {{0.1, 0.4, 0.7}, {0.2, 0.5, 0.8}, {0.3, 0.6, 0.9}};
+  request.stream_lengths = {65, 256};
+  request.repeats = 2;
+  const obs::Counter& words = obs::Registry::global().counter(
+      "oscs_engine_words_processed_total",
+      "64-bit stimulus words processed by the packed kernel");
+  const std::uint64_t before = words.value();
+  (void)runner.run_nd(request, /*threads=*/1);
+  // Two programs of two terms x two factors each; 65 bits = 2 words.
+  const std::uint64_t factors = 2 * (2 + 2);
+  EXPECT_EQ(words.value() - before, factors * (2 + 4) * 3 * 2);
 }
 
 TEST(SeparableBatchValidation, NdRequestGuardsFire) {

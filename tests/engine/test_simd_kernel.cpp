@@ -2,14 +2,16 @@
 /// \brief SIMD-vs-scalar equivalence suite for the packed kernel: the
 ///        AVX2 backend must be bit-identical to the scalar reference at
 ///        the primitive level (random word blocks, tail counts) and end
-///        to end (run/run_fused/run2/run2_fused across word-boundary
-///        stream lengths, fused widths and nonzero BER, pinned seeds).
+///        to end (run_nd/run_fused on one- and two-axis kernels across
+///        word-boundary stream lengths, fused widths and nonzero BER,
+///        pinned seeds).
 
 #include "engine/simd_kernel.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -17,6 +19,7 @@
 #include "engine/packed_sim.hpp"
 #include "optsc/defaults.hpp"
 #include "stochastic/bernstein.hpp"
+#include "stochastic/separable.hpp"
 
 namespace oscs::engine {
 namespace {
@@ -92,14 +95,34 @@ TEST(SimdKernelOps, Avx2PrimitivesMatchScalarOnRandomBlocks) {
                        mux_b.data());
     ASSERT_EQ(mux_a, mux_b) << "mux_or_reduce count " << count;
 
-    // 2D reduce: reuse sel_a as a 2x3 select grid over the same z set.
-    std::vector<std::uint64_t> mux2_a(kStride, 0);
-    std::vector<std::uint64_t> mux2_b(kStride, 0);
-    scalar.mux2_or_reduce(sel_a.data(), 2, sel_a.data() + 2 * kStride, 3,
-                          kStride, count, z_ptrs.data(), 0, mux2_a.data());
-    avx2.mux2_or_reduce(sel_a.data(), 2, sel_a.data() + 2 * kStride, 3,
-                        kStride, count, z_ptrs.data(), 0, mux2_b.data());
-    ASSERT_EQ(mux2_a, mux2_b) << "mux2_or_reduce count " << count;
+    // 2D select as nested 1D passes: reuse sel_a as a 2x3 select grid
+    // (rows sel_a[0..1], columns sel_a[2..4]) over the same z set. Each
+    // backend's nested reduce must equal the flat
+    // OR_ij (s_x,i & s_y,j & z_ij) exactly.
+    const std::uint64_t* sel_x = sel_a.data();
+    const std::uint64_t* sel_y = sel_a.data() + 2 * kStride;
+    std::vector<std::uint64_t> flat(kStride, 0);
+    for (std::size_t i = 0; i < 2; ++i) {
+      for (std::size_t j = 0; j < 3; ++j) {
+        for (std::size_t w = 0; w < count; ++w) {
+          flat[w] |= sel_x[i * kStride + w] & sel_y[j * kStride + w] &
+                     z_ptrs[i * 3 + j][w];
+        }
+      }
+    }
+    for (const simd::KernelOps* ops : {&scalar, &avx2}) {
+      std::vector<std::uint64_t> rows(2 * kStride, 0);
+      for (std::size_t i = 0; i < 2; ++i) {
+        ops->mux_or_reduce(sel_y, 3, kStride, count, z_ptrs.data() + i * 3,
+                           0, rows.data() + i * kStride);
+      }
+      const std::vector<const std::uint64_t*> row_ptrs = {
+          rows.data(), rows.data() + kStride};
+      std::vector<std::uint64_t> nested(kStride, 0);
+      ops->mux_or_reduce(sel_x, 2, kStride, count, row_ptrs.data(), 0,
+                         nested.data());
+      ASSERT_EQ(nested, flat) << "nested mux_or_reduce count " << count;
+    }
 
     std::vector<std::uint64_t> dst_a = random_words(kStride, 7);
     std::vector<std::uint64_t> dst_b = dst_a;
@@ -139,25 +162,26 @@ void expect_same_results(const PackedRunResult& a, const PackedRunResult& b,
       << what << " length " << length;
 }
 
-/// End-to-end equivalence matrix: both arities, fused K in {1, 8}, BER in
-/// {0, 1e-2}, stream lengths straddling every word-boundary regime.
+/// End-to-end equivalence matrix: one- and two-axis kernels, fused K in
+/// {1, 8}, BER in {0, 1e-2}, stream lengths straddling every word-boundary
+/// regime.
 TEST(SimdKernelEquivalence, RunsAreBitIdenticalAcrossBackends) {
   if (!avx2_available()) GTEST_SKIP() << "AVX2 backend not available";
   const optsc::OpticalScCircuit c1(optsc::paper_defaults(3));
   const PackedKernel kernel1(c1);
   const optsc::OpticalScCircuit c2(optsc::paper_defaults(2));
-  const PackedKernel kernel2(c2, 2, 2);
+  const PackedKernel kernel2(c2, {2, 2});
 
-  std::vector<sc::BernsteinPoly> polys1;
-  std::vector<sc::BernsteinPoly2> polys2;
+  std::vector<sc::SeparableProgram> polys1;
+  std::vector<sc::SeparableProgram> polys2;
   for (std::size_t k = 0; k < 8; ++k) {
     const double a = static_cast<double>(k) / 8.0;
-    polys1.emplace_back(
-        std::vector<double>{a, 1.0 - a, 0.5 * a, 1.0 - 0.5 * a});
-    polys2.emplace_back(
+    polys1.emplace_back(sc::BernsteinPoly(
+        std::vector<double>{a, 1.0 - a, 0.5 * a, 1.0 - 0.5 * a}));
+    polys2.emplace_back(sc::BernsteinPoly2(
         2, 2,
         std::vector<double>{a, 0.1, 1.0 - a, 0.4, 0.5 * a, 0.9, 0.2,
-                            1.0 - 0.5 * a, 0.6});
+                            1.0 - 0.5 * a, 0.6}));
   }
 
   for (std::size_t length : {1u, 63u, 64u, 65u, 4095u}) {
@@ -172,20 +196,20 @@ TEST(SimdKernelEquivalence, RunsAreBitIdenticalAcrossBackends) {
       cfg.stimulus_seed = 17;
       cfg.noise_seed = 23;
       for (std::size_t fused_k : {1u, 8u}) {
-        const std::vector<sc::BernsteinPoly> progs1(
-            polys1.begin(), polys1.begin() + fused_k);
-        const std::vector<sc::BernsteinPoly2> progs2(
-            polys2.begin(), polys2.begin() + fused_k);
+        const std::span<const sc::SeparableProgram> progs1(polys1.data(),
+                                                           fused_k);
+        const std::span<const sc::SeparableProgram> progs2(polys2.data(),
+                                                           fused_k);
         std::vector<PackedRunResult> scalar1, avx21, scalar2, avx22;
         {
           ScopedBackend scalar(oscs::SimdBackend::kScalar);
-          scalar1 = kernel1.run_fused(progs1, 0.4, cfg);
-          scalar2 = kernel2.run2_fused(progs2, 0.4, 0.7, cfg);
+          scalar1 = kernel1.run_fused(progs1, {0.4}, cfg);
+          scalar2 = kernel2.run_fused(progs2, {0.4, 0.7}, cfg);
         }
         {
           ScopedBackend avx2(oscs::SimdBackend::kAvx2);
-          avx21 = kernel1.run_fused(progs1, 0.4, cfg);
-          avx22 = kernel2.run2_fused(progs2, 0.4, 0.7, cfg);
+          avx21 = kernel1.run_fused(progs1, {0.4}, cfg);
+          avx22 = kernel2.run_fused(progs2, {0.4, 0.7}, cfg);
         }
         ASSERT_EQ(scalar1.size(), avx21.size());
         ASSERT_EQ(scalar2.size(), avx22.size());
@@ -194,20 +218,20 @@ TEST(SimdKernelEquivalence, RunsAreBitIdenticalAcrossBackends) {
           expect_same_results(scalar2[k], avx22[k], "2D fused", length);
         }
       }
-      // Unfused single-program entry points.
+      // Unfused single-program entry point.
       PackedRunResult s1, a1, s2, a2;
       {
         ScopedBackend scalar(oscs::SimdBackend::kScalar);
-        s1 = kernel1.run(polys1[0], 0.3, cfg);
-        s2 = kernel2.run2(polys2[0], 0.3, 0.6, cfg);
+        s1 = kernel1.run_nd(polys1[0], {0.3}, cfg);
+        s2 = kernel2.run_nd(polys2[0], {0.3, 0.6}, cfg);
       }
       {
         ScopedBackend avx2(oscs::SimdBackend::kAvx2);
-        a1 = kernel1.run(polys1[0], 0.3, cfg);
-        a2 = kernel2.run2(polys2[0], 0.3, 0.6, cfg);
+        a1 = kernel1.run_nd(polys1[0], {0.3}, cfg);
+        a2 = kernel2.run_nd(polys2[0], {0.3, 0.6}, cfg);
       }
-      expect_same_results(s1, a1, "1D run", length);
-      expect_same_results(s2, a2, "2D run2", length);
+      expect_same_results(s1, a1, "1D run_nd", length);
+      expect_same_results(s2, a2, "2D run_nd", length);
     }
   }
 }
@@ -225,7 +249,8 @@ TEST(SimdKernelEquivalence, EvaluateMatchesPerBitPhysicsUnderBothBackends) {
     ScopedBackend scope(backend);
     const sc::ScInputs inputs =
         sc::make_sc_inputs(0.6, {0.1, 0.7, 0.4}, 2, 1000, {});
-    const PackedKernel::Streams streams = kernel.evaluate(inputs);
+    const PackedKernel::Streams streams =
+        kernel.evaluate({&inputs.x_streams}, {&inputs.z_streams}).front();
     for (std::size_t t = 0; t < 1000; ++t) {
       std::vector<bool> x{inputs.x_streams[0].bit(t),
                           inputs.x_streams[1].bit(t)};

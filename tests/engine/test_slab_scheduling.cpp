@@ -10,9 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "optsc/defaults.hpp"
+#include "optsc/link_budget.hpp"
 
 namespace oscs::engine {
 namespace {
@@ -68,12 +70,12 @@ void expect_grain_invariance(const BatchRunner& runner, BatchRequest req,
 
   req.slab_tasks = 1;
   const BatchSummary baseline =
-      fused ? runner.run_fused(req, /*threads=*/1) : runner.run(req, 1);
+      fused ? runner.run_fused(req, /*threads=*/1) : runner.run_nd(req, 1);
   for (std::size_t threads : {1u, 3u}) {
     for (std::size_t slab_tasks : {0u, 1u, 3u, 7u, 1000u}) {
       req.slab_tasks = slab_tasks;
       const BatchSummary got = fused ? runner.run_fused(req, threads)
-                                     : runner.run(req, threads);
+                                     : runner.run_nd(req, threads);
       SCOPED_TRACE("threads " + std::to_string(threads) + " slab " +
                    std::to_string(slab_tasks) +
                    (fused ? " fused" : " unfused"));
@@ -96,8 +98,11 @@ TEST(SlabScheduling, UnivariateRunIsGrainInvariant) {
 }
 
 TEST(SlabScheduling, BivariateRunIsGrainInvariant) {
-  const BatchRunner runner{optsc::OpticalScCircuit(optsc::paper_defaults(1)),
-                           1, 1};
+  const optsc::OpticalScCircuit circuit(optsc::paper_defaults(1));
+  const BatchRunner runner{
+      std::make_shared<const PackedKernel>(circuit,
+                                           std::vector<std::size_t>{1, 1}),
+      optsc::design_operating_point(circuit)};
   BatchRequest req;
   req.polynomials2 = {sc::BernsteinPoly2(1, 1, {0.0, 0.0, 0.0, 1.0}),
                       sc::BernsteinPoly2(1, 1, {0.25, 0.0, 0.25, 1.0})};
@@ -119,7 +124,7 @@ TEST(SlabScheduling, SlabKnobDoesNotChangeTaskAccounting) {
   req.repeats = 5;
   for (std::size_t slab_tasks : {0u, 2u, 100u}) {
     req.slab_tasks = slab_tasks;
-    const BatchSummary summary = runner.run(req, 2);
+    const BatchSummary summary = runner.run_nd(req, 2);
     EXPECT_EQ(summary.tasks, req.tasks());
     EXPECT_EQ(summary.total_bits, 5u * 128u);
   }

@@ -73,7 +73,7 @@ TEST(ProgramServerTest, RawCoefficientsMatchDirectEngineRun) {
   req.seed = 42;
   const engine::BatchRunner runner(
       optsc::OpticalScCircuit(optsc::paper_defaults(2)));
-  const engine::BatchSummary expected = runner.run(req, /*threads=*/1);
+  const engine::BatchSummary expected = runner.run_nd(req, /*threads=*/1);
 
   const auto& cells = doc.find("cells")->items();
   ASSERT_EQ(cells.size(), expected.cells.size());
