@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
   request.repeats = repeats;
   const engine::BatchRunner runner(program->kernel(),
                                    program->design_point());
-  const engine::BatchSummary summary = runner.run(request);
+  const engine::BatchSummary summary = runner.run_nd(request);
   std::printf("  %-8s %-8s %-10s %-10s %-8s\n", "pixel", "alpha", "expected",
               "optical", "|err|");
   for (const engine::BatchCell& cell : summary.cells) {

@@ -46,7 +46,7 @@ int run_demo(int argc, char** argv) {
   req.seed = static_cast<std::uint64_t>(args.get_int("seed"));
 
   const auto threads = static_cast<std::size_t>(args.get_int("threads"));
-  const eng::BatchSummary summary = runner.run(req, threads);
+  const eng::BatchSummary summary = runner.run_nd(req, threads);
 
   std::printf("batch sweep: %zu tasks, %.1f Mbit evaluated, "
               "operating-point BER %.2g (probe %.2f mW)\n\n",

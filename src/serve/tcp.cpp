@@ -143,6 +143,9 @@ void TcpServer::serve_connection(int fd,
   // parser's hardening only runs once a full line arrives, so the
   // framing layer has to bound the buffering itself.
   constexpr std::size_t kMaxLineBytes = 1 << 20;
+  // Framing is linear in the bytes received: each read scans only the new
+  // bytes for newlines, complete lines are consumed by index, and the
+  // buffer is compacted once per read.
   std::string pending;
   char chunk[4096];
   bool alive = true;
@@ -150,25 +153,30 @@ void TcpServer::serve_connection(int fd,
     const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) break;  // peer closed or connection reset
+    std::size_t scan = pending.size();  // earlier bytes hold no newline
     pending.append(chunk, static_cast<std::size_t>(n));
-    if (pending.size() > kMaxLineBytes &&
-        pending.find('\n') == std::string::npos) {
+
+    std::size_t start = 0;  // first byte of the next unconsumed line
+    while (alive) {
+      const std::size_t newline = pending.find('\n', scan);
+      if (newline == std::string::npos) break;
+      std::size_t end = newline;
+      if (end > start && pending[end - 1] == '\r') --end;
+      if (end > start) {  // blank keep-alive lines are ignored
+        const std::string response =
+            server_.handle_json(pending.substr(start, end - start));
+        if (!send_all(fd, response.data(), response.size())) alive = false;
+      }
+      start = scan = newline + 1;
+    }
+    pending.erase(0, start);
+    if (pending.size() > kMaxLineBytes) {
       const std::string error = write_error(
           "", 400, "bad_request",
           "request line exceeds " + std::to_string(kMaxLineBytes) +
               " bytes");
       (void)send_all(fd, error.data(), error.size());
       break;
-    }
-
-    std::size_t newline;
-    while (alive && (newline = pending.find('\n')) != std::string::npos) {
-      std::string line = pending.substr(0, newline);
-      pending.erase(0, newline + 1);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (line.empty()) continue;  // ignore blank keep-alive lines
-      const std::string response = server_.handle_json(line);
-      if (!send_all(fd, response.data(), response.size())) alive = false;
     }
   }
   // Deregister before closing so stop() never shuts down a reused fd, and
@@ -212,13 +220,18 @@ std::string TcpClient::request(const std::string& line) {
     throw std::runtime_error("TcpClient: send failed (connection closed?)");
   }
   char chunk[4096];
+  std::size_t scan = head_;  // bytes before `scan` hold no newline
   while (true) {
-    const std::size_t newline = buffer_.find('\n');
+    const std::size_t newline = buffer_.find('\n', scan);
     if (newline != std::string::npos) {
-      std::string response = buffer_.substr(0, newline);
-      buffer_.erase(0, newline + 1);
+      std::string response = buffer_.substr(head_, newline - head_);
+      head_ = newline + 1;
       return response;
     }
+    // Compact once per read: drop the returned lines before appending.
+    buffer_.erase(0, head_);
+    head_ = 0;
+    scan = buffer_.size();
     const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) {

@@ -91,7 +91,8 @@ class TcpClient {
 
  private:
   int fd_ = -1;
-  std::string buffer_;  ///< bytes read past the last returned line
+  std::string buffer_;  ///< bytes read but not yet returned (from head_)
+  std::size_t head_ = 0;  ///< start of the first unreturned line
 };
 
 }  // namespace oscs::serve

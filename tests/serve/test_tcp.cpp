@@ -1,7 +1,11 @@
 /// Loopback TCP front-end tests: framing, connection reuse, malformed
 /// lines, concurrent clients sharing one warm cache, and clean shutdown.
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <memory>
@@ -122,6 +126,62 @@ TEST(TcpServerTest, OverlongRequestLineAnswers400AndClosesConnection) {
   }
   EXPECT_THROW((void)client.request(R"({"op": "ping"})"),
                std::runtime_error);  // connection was closed
+}
+
+TEST(TcpServerTest, PipelinedBurstInOneSendAnswersEveryLineInOrder) {
+  ProgramServer server(fast_options());
+  TcpServer tcp(server, /*port=*/0);
+
+  // 500 requests in one send: mixed LF/CRLF endings, blank keep-alive
+  // lines (bare and CRLF) between them, and a few evaluate requests
+  // among the pings.
+  constexpr int kRequests = 500;
+  std::string burst;
+  for (int i = 0; i < kRequests; ++i) {
+    const std::string id = "\"id\": \"r" + std::to_string(i) + "\"";
+    burst += i % 50 == 0
+                 ? "{" + id + R"(, "coefficients": [0.2, 0.8], "xs": [0.5],)"
+                       R"( "stream_lengths": [64], "repeats": 1})"
+                 : "{" + id + R"(, "op": "ping"})";
+    burst += i % 3 == 0 ? "\r\n" : "\n";
+    if (i % 7 == 0) burst += "\n";
+    if (i % 11 == 0) burst += "\r\n";
+  }
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(tcp.port());
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  ASSERT_EQ(::send(fd, burst.data(), burst.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(burst.size()));
+
+  std::string received;
+  std::vector<std::string> lines;
+  char chunk[4096];
+  while (lines.size() < static_cast<std::size_t>(kRequests)) {
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    ASSERT_GT(n, 0) << "connection closed after " << lines.size();
+    received.append(chunk, static_cast<std::size_t>(n));
+    std::size_t newline;
+    while ((newline = received.find('\n')) != std::string::npos) {
+      lines.push_back(received.substr(0, newline));
+      received.erase(0, newline + 1);
+    }
+  }
+  ::close(fd);
+
+  ASSERT_EQ(lines.size(), static_cast<std::size_t>(kRequests));
+  EXPECT_TRUE(received.empty());
+  for (int i = 0; i < kRequests; ++i) {
+    const JsonValue doc = json_parse(lines[i]);
+    EXPECT_TRUE(doc.find("ok")->as_bool()) << lines[i];
+    EXPECT_EQ(doc.find("id")->as_string(), "r" + std::to_string(i));
+  }
 }
 
 TEST(TcpServerTest, StopUnblocksConnectedClients) {
