@@ -124,29 +124,111 @@ struct SeparableView {
 
 SeparableView separable_view(const BatchRequest& request) {
   SeparableView view;
-  view.programs.reserve(request.program_count());
-  view.points.resize(request.points());
-  if (!request.programs_nd.empty()) {
-    view.programs = request.programs_nd;
-    for (std::size_t i = 0; i < view.points.size(); ++i) {
-      for (const std::vector<double>& axis : request.inputs) {
-        view.points[i].push_back(axis[i]);
-      }
+  std::vector<std::vector<double>> columns = request.inputs;
+  if (request.programs_nd.empty()) {
+    columns = {request.xs};
+    if (!request.polynomials2.empty()) columns.push_back(request.ys);
+    for (const sc::BernsteinPoly& poly : request.polynomials) {
+      view.programs.emplace_back(poly);
     }
-    return view;
+    for (const sc::BernsteinPoly2& poly : request.polynomials2) {
+      view.programs.emplace_back(poly);
+    }
+  } else {
+    view.programs = request.programs_nd;
   }
-  for (const sc::BernsteinPoly& poly : request.polynomials) {
-    view.programs.emplace_back(poly);
-  }
-  for (const sc::BernsteinPoly2& poly : request.polynomials2) {
-    view.programs.emplace_back(poly);
-  }
+  view.points.resize(request.points());
   for (std::size_t i = 0; i < view.points.size(); ++i) {
-    view.points[i] = request.polynomials2.empty()
-                         ? std::vector<double>{request.xs[i]}
-                         : std::vector<double>{request.xs[i], request.ys[i]};
+    for (const std::vector<double>& column : columns) {
+      view.points[i].push_back(column[i]);
+    }
   }
   return view;
+}
+
+/// One evaluation's outcome, written into its task's own slot.
+struct TaskOut {
+  double optical = 0.0;
+  double electronic = 0.0;
+  std::size_t flips = 0;
+};
+
+/// Aggregate per-task outputs into program-major cells. `slot` maps
+/// (program, point, length, repeat) indices to a TaskOut slot; the exact
+/// expected values come from the view's programs.
+template <typename SlotFn>
+BatchSummary aggregate(const BatchRequest& request, const SeparableView& view,
+                       const std::vector<TaskOut>& outs,
+                       const oscs::OperatingPoint& op, SlotFn&& slot) {
+  const std::vector<sc::SeparableProgram>& programs = view.programs;
+  const std::vector<std::vector<double>>& points = view.points;
+  BatchSummary summary;
+  summary.tasks = outs.size();
+  summary.op = op.with_stream_length(
+      request.stream_lengths.size() == 1 ? request.stream_lengths.front() : 0);
+  summary.cells.reserve(request.cells());
+  const std::size_t n_lengths = request.stream_lengths.size();
+  summary.program_accuracy.resize(programs.size());
+  for (std::size_t pi = 0; pi < programs.size(); ++pi) {
+    ProgramAccuracy& acc = summary.program_accuracy[pi];
+    for (std::size_t xi = 0; xi < points.size(); ++xi) {
+      const std::vector<double>& point = points[xi];
+      // Dense forms evaluate the dense polynomial exactly.
+      const double expected = programs[pi](point);
+      for (std::size_t li = 0; li < n_lengths; ++li) {
+        const std::size_t length = request.stream_lengths[li];
+        oscs::Accumulator optical;
+        oscs::Accumulator optical_err;
+        oscs::Accumulator electronic_err;
+        oscs::Accumulator flip_rate;
+        for (std::size_t rep = 0; rep < request.repeats; ++rep) {
+          const TaskOut& out = outs[slot(pi, xi, li, rep)];
+          optical.add(out.optical);
+          optical_err.add(std::abs(out.optical - expected));
+          electronic_err.add(std::abs(out.electronic - expected));
+          flip_rate.add(static_cast<double>(out.flips) /
+                        static_cast<double>(length));
+          summary.total_bits += length;
+        }
+        BatchCell cell;
+        cell.poly_index = pi;
+        cell.point = point;
+        cell.x = point[0];
+        if (point.size() > 1) cell.y = point[1];
+        cell.stream_length = length;
+        cell.repeats = request.repeats;
+        cell.expected = expected;
+        cell.optical_mean = optical.mean();
+        cell.optical_ci = optical.ci_halfwidth();
+        cell.optical_abs_error_mean = optical_err.mean();
+        cell.optical_abs_error_ci = optical_err.ci_halfwidth();
+        cell.electronic_abs_error_mean = electronic_err.mean();
+        cell.flip_rate_mean = flip_rate.mean();
+        summary.optical_mae += cell.optical_abs_error_mean;
+        summary.electronic_mae += cell.electronic_abs_error_mean;
+        summary.worst_cell_error =
+            std::max(summary.worst_cell_error, cell.optical_abs_error_mean);
+        // Certification-aligned roll-up: deviation of the mean estimate,
+        // not the mean of per-repeat deviations.
+        const double mean_err = std::abs(cell.optical_mean - expected);
+        acc.cells += 1;
+        acc.mean_error += mean_err;
+        acc.worst_error = std::max(acc.worst_error, mean_err);
+        acc.ci_mean += cell.optical_ci;
+        summary.cells.push_back(cell);
+      }
+    }
+  }
+  for (ProgramAccuracy& acc : summary.program_accuracy) {
+    if (acc.cells > 0) {
+      acc.mean_error /= static_cast<double>(acc.cells);
+      acc.ci_mean /= static_cast<double>(acc.cells);
+    }
+  }
+  const double n_cells = static_cast<double>(summary.cells.size());
+  summary.optical_mae /= n_cells;
+  summary.electronic_mae /= n_cells;
+  return summary;
 }
 
 }  // namespace
@@ -256,82 +338,6 @@ BatchRunner::BatchRunner(std::shared_ptr<const PackedKernel> kernel,
   design_point_.validate();
 }
 
-template <typename SlotFn>
-BatchSummary BatchRunner::aggregate(
-    const BatchRequest& request,
-    const std::vector<sc::SeparableProgram>& programs,
-    const std::vector<std::vector<double>>& points,
-    const std::vector<TaskOut>& outs, const oscs::OperatingPoint& op,
-    SlotFn&& slot) const {
-  BatchSummary summary;
-  summary.tasks = outs.size();
-  summary.op = op.with_stream_length(
-      request.stream_lengths.size() == 1 ? request.stream_lengths.front() : 0);
-  summary.cells.reserve(request.cells());
-  const std::size_t n_lengths = request.stream_lengths.size();
-  summary.program_accuracy.resize(programs.size());
-  for (std::size_t pi = 0; pi < programs.size(); ++pi) {
-    ProgramAccuracy& acc = summary.program_accuracy[pi];
-    for (std::size_t xi = 0; xi < points.size(); ++xi) {
-      const std::vector<double>& point = points[xi];
-      // Dense forms evaluate the dense polynomial exactly.
-      const double expected = programs[pi](point);
-      for (std::size_t li = 0; li < n_lengths; ++li) {
-        const std::size_t length = request.stream_lengths[li];
-        oscs::Accumulator optical;
-        oscs::Accumulator optical_err;
-        oscs::Accumulator electronic_err;
-        oscs::Accumulator flip_rate;
-        for (std::size_t rep = 0; rep < request.repeats; ++rep) {
-          const TaskOut& out = outs[slot(pi, xi, li, rep)];
-          optical.add(out.optical);
-          optical_err.add(std::abs(out.optical - expected));
-          electronic_err.add(std::abs(out.electronic - expected));
-          flip_rate.add(static_cast<double>(out.flips) /
-                        static_cast<double>(length));
-          summary.total_bits += length;
-        }
-        BatchCell cell;
-        cell.poly_index = pi;
-        cell.point = point;
-        cell.x = point[0];
-        if (point.size() > 1) cell.y = point[1];
-        cell.stream_length = length;
-        cell.repeats = request.repeats;
-        cell.expected = expected;
-        cell.optical_mean = optical.mean();
-        cell.optical_ci = optical.ci_halfwidth();
-        cell.optical_abs_error_mean = optical_err.mean();
-        cell.optical_abs_error_ci = optical_err.ci_halfwidth();
-        cell.electronic_abs_error_mean = electronic_err.mean();
-        cell.flip_rate_mean = flip_rate.mean();
-        summary.optical_mae += cell.optical_abs_error_mean;
-        summary.electronic_mae += cell.electronic_abs_error_mean;
-        summary.worst_cell_error =
-            std::max(summary.worst_cell_error, cell.optical_abs_error_mean);
-        // Certification-aligned roll-up: deviation of the mean estimate,
-        // not the mean of per-repeat deviations.
-        const double mean_err = std::abs(cell.optical_mean - expected);
-        acc.cells += 1;
-        acc.mean_error += mean_err;
-        acc.worst_error = std::max(acc.worst_error, mean_err);
-        acc.ci_mean += cell.optical_ci;
-        summary.cells.push_back(cell);
-      }
-    }
-  }
-  for (ProgramAccuracy& acc : summary.program_accuracy) {
-    if (acc.cells > 0) {
-      acc.mean_error /= static_cast<double>(acc.cells);
-      acc.ci_mean /= static_cast<double>(acc.cells);
-    }
-  }
-  const double n_cells = static_cast<double>(summary.cells.size());
-  summary.optical_mae /= n_cells;
-  summary.electronic_mae /= n_cells;
-  return summary;
-}
-
 BatchSummary BatchRunner::run_nd(const BatchRequest& request,
                                  ThreadPool& pool) const {
   request.validate();
@@ -377,7 +383,7 @@ BatchSummary BatchRunner::run_nd(const BatchRequest& request,
   pool.wait_idle();
 
   BatchSummary summary = aggregate(
-      request, view.programs, view.points, outs, base,
+      request, view, outs, base,
       [n_xs, n_lengths, repeats](std::size_t pi, std::size_t xi,
                                  std::size_t li, std::size_t rep) {
         return ((pi * n_xs + xi) * n_lengths + li) * repeats + rep;
@@ -450,7 +456,7 @@ BatchSummary BatchRunner::run_fused(const BatchRequest& request,
   pool.wait_idle();
 
   BatchSummary summary = aggregate(
-      request, view.programs, view.points, outs, base,
+      request, view, outs, base,
       [n_lengths, repeats, n_programs](std::size_t pi, std::size_t xi,
                                        std::size_t li, std::size_t rep) {
         const std::size_t t = (xi * n_lengths + li) * repeats + rep;

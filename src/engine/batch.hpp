@@ -222,24 +222,6 @@ class BatchRunner {
                                        std::size_t threads = 0) const;
 
  private:
-  struct TaskOut {
-    double optical = 0.0;
-    double electronic = 0.0;
-    std::size_t flips = 0;
-  };
-
-  /// Aggregate per-task outputs into program-major cells. `slot` maps
-  /// (program, point, length, repeat) indices to a TaskOut slot;
-  /// `programs` and `points` are the request's canonical form (the exact
-  /// expected values come from the programs).
-  template <typename SlotFn>
-  [[nodiscard]] BatchSummary aggregate(
-      const BatchRequest& request,
-      const std::vector<stochastic::SeparableProgram>& programs,
-      const std::vector<std::vector<double>>& points,
-      const std::vector<TaskOut>& outs, const oscs::OperatingPoint& op,
-      SlotFn&& slot) const;
-
   std::shared_ptr<const PackedKernel> kernel_;
   oscs::OperatingPoint design_point_;
 };
