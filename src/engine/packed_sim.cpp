@@ -40,6 +40,32 @@ std::vector<const std::vector<sc::Bitstream>*> stream_sets(
   return ptrs;
 }
 
+/// One sampled receiver flip pattern as packed words.
+struct FlipMask {
+  std::vector<std::uint64_t> words;  ///< empty when no flip was sampled
+  std::size_t flips = 0;
+};
+
+/// Decision flips at op.ber over op.stream_length bits, sampled from
+/// `noise_seed`. Positions are distinct, so XORing the mask equals a
+/// per-bit toggle; padding bits stay zero because positions lie below the
+/// stream length.
+FlipMask sample_flip_mask(const oscs::OperatingPoint& op,
+                          std::uint64_t noise_seed) {
+  FlipMask mask;
+  if (!op.noisy()) return mask;
+  oscs::Xoshiro256 rng(noise_seed);
+  const std::vector<std::size_t> positions =
+      sample_flip_positions(op.stream_length, op.ber, rng);
+  mask.flips = positions.size();
+  if (positions.empty()) return mask;
+  mask.words.assign((op.stream_length + 63) / 64, 0);
+  for (std::size_t pos : positions) {
+    mask.words[pos / 64] |= std::uint64_t{1} << (pos % 64);
+  }
+  return mask;
+}
+
 std::vector<bool> pattern_bits(std::uint32_t pattern, std::size_t count) {
   std::vector<bool> bits(count, false);
   for (std::size_t j = 0; j < count; ++j) bits[j] = (pattern >> j) & 1u;
@@ -376,54 +402,34 @@ std::vector<PackedRunResult> PackedKernel::run_fused(
   const std::size_t length = config.op.stream_length;
   // Dense forms exist for one and two axes; the SNG layer owns each
   // stimulus layout (program 0 bit-identical to the unfused stimulus).
+  std::vector<Streams> streams;
   if (orders_.size() == 1) {
     const sc::FusedScInputs in =
         sc::make_fused_sc_inputs(point[0], coeffs, orders_[0], length, sng);
-    return finish_runs(evaluate({&in.x_streams}, stream_sets(in.z_streams)),
-                       config);
+    streams = evaluate({&in.x_streams}, stream_sets(in.z_streams));
+  } else {
+    const sc::FusedScInputs2 in = sc::make_fused_sc_inputs2(
+        point[0], point[1], coeffs, orders_[0], orders_[1], length, sng);
+    streams =
+        evaluate({&in.x_streams, &in.y_streams}, stream_sets(in.z_streams));
   }
-  const sc::FusedScInputs2 in = sc::make_fused_sc_inputs2(
-      point[0], point[1], coeffs, orders_[0], orders_[1], length, sng);
-  return finish_runs(evaluate({&in.x_streams, &in.y_streams},
-                              stream_sets(in.z_streams)),
-                     config);
-}
 
-std::vector<PackedRunResult> PackedKernel::finish_runs(
-    std::vector<Streams> streams, const PackedRunConfig& config) const {
   // One flip-mask pass: positions are sampled once at the operating
   // point's BER and applied to every program's decision stream. Marginal
   // per-program statistics are unchanged; programs share the flip pattern
   // the way fused hardware would share the receiver.
-  std::vector<std::size_t> flips;
-  if (config.op.noisy()) {
-    oscs::Xoshiro256 noise_rng(config.noise_seed);
-    flips = sample_flip_positions(config.op.stream_length, config.op.ber,
-                                  noise_rng);
-  }
-
-  // The sampled positions become one packed flip mask XORed into every
-  // program's decision words (positions are distinct, so XOR == per-bit
-  // toggle); padding bits stay zero because positions < stream_length.
-  std::vector<std::uint64_t> flip_mask;
-  if (!flips.empty()) {
-    flip_mask.assign((config.op.stream_length + 63) / 64, 0);
-    for (std::size_t pos : flips) {
-      flip_mask[pos / 64] |= std::uint64_t{1} << (pos % 64);
-    }
-  }
+  const FlipMask mask = sample_flip_mask(config.op, config.noise_seed);
   const simd::KernelOps& ops = simd::kernel_ops();
-
   std::vector<PackedRunResult> results(streams.size());
   for (std::size_t prog = 0; prog < streams.size(); ++prog) {
     Streams& s = streams[prog];
-    if (!flip_mask.empty()) {
-      ops.xor_inplace(s.optical.words_data(), flip_mask.data(),
-                      flip_mask.size());
+    if (!mask.words.empty()) {
+      ops.xor_inplace(s.optical.words_data(), mask.words.data(),
+                      mask.words.size());
     }
     PackedRunResult& r = results[prog];
-    r.length = config.op.stream_length;
-    r.noise_flips = flips.size();
+    r.length = length;
+    r.noise_flips = mask.flips;
     r.optical_estimate = s.optical.probability();
     r.electronic_estimate = s.electronic.probability();
     r.transmission_flips = (s.optical ^ s.electronic).count_ones();
@@ -484,7 +490,6 @@ PackedRunResult PackedKernel::run_nd(const sc::SeparableProgram& program,
   double optical_sum = 0.0;
   double electronic_sum = 0.0;
   std::size_t factor_index = 0;
-  std::vector<std::uint64_t> flip_mask;
   for (const sc::SeparableTerm& term : program.terms()) {
     // Term product: AND of the term's independent factor streams. An
     // omitted axis contributes the constant 1 (the AND identity), so the
@@ -499,22 +504,14 @@ PackedRunResult PackedKernel::run_nd(const sc::SeparableProgram& program,
            derive_factor_seed(config.stimulus_seed, factor_index)});
       Streams streams = std::move(
           evaluate({&inputs.x_streams}, {&inputs.z_streams}).front());
-      if (config.op.noisy()) {
-        // Per-factor receiver noise: each factor stream is its own
-        // optical evaluation, so each gets its own Eq. 9 flip mask.
-        oscs::Xoshiro256 noise_rng(
-            derive_factor_seed(config.noise_seed, factor_index));
-        const std::vector<std::size_t> flips =
-            sample_flip_positions(length, config.op.ber, noise_rng);
-        if (!flips.empty()) {
-          flip_mask.assign(nwords, 0);
-          for (std::size_t pos : flips) {
-            flip_mask[pos / 64] |= std::uint64_t{1} << (pos % 64);
-          }
-          ops.xor_inplace(streams.optical.words_data(), flip_mask.data(),
-                          nwords);
-          result.noise_flips += flips.size();
-        }
+      // Per-factor receiver noise: each factor stream is its own optical
+      // evaluation, so each gets its own Eq. 9 flip mask.
+      const FlipMask mask = sample_flip_mask(
+          config.op, derive_factor_seed(config.noise_seed, factor_index));
+      if (!mask.words.empty()) {
+        ops.xor_inplace(streams.optical.words_data(), mask.words.data(),
+                        nwords);
+        result.noise_flips += mask.flips;
       }
       const std::uint64_t* opt_words = streams.optical.words_data();
       const std::uint64_t* elec_words = streams.electronic.words_data();

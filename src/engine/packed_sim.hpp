@@ -203,10 +203,6 @@ class PackedKernel {
       const std::vector<double>& point, const PackedRunConfig& config) const;
 
  private:
-  /// Flip-mask + statistics tail of run_fused.
-  [[nodiscard]] std::vector<PackedRunResult> finish_runs(
-      std::vector<Streams> streams, const PackedRunConfig& config) const;
-
   const optsc::OpticalScCircuit* circuit_;
   std::vector<std::size_t> orders_;  ///< per-axis select ranges
   double threshold_mw_ = 0.0;
