@@ -54,15 +54,16 @@ struct BatchRequest {
   /// Bivariate (tensor-product) programs; mutually exclusive with
   /// `polynomials`.
   std::vector<stochastic::BernsteinPoly2> polynomials2;
-  /// N-ary sum-of-separable programs; mutually exclusive with both
-  /// polynomial lists. Every program's arity must equal inputs.size().
+  /// Programs in the canonical form (dense or sum-of-rank-1); mutually
+  /// exclusive with both polynomial lists. Every program's arity must
+  /// equal inputs.size().
   std::vector<stochastic::SeparableProgram> programs_nd;
   std::vector<double> xs;
   /// Second input coordinate, paired element-wise with `xs` (bivariate
   /// requests only; must match xs.size()).
   std::vector<double> ys;
-  /// N-ary evaluation points, one column per axis, element-wise paired
-  /// (N-ary requests only; every column must match inputs[0].size()).
+  /// Evaluation points of `programs_nd`, one column per axis, element-wise
+  /// paired (every column must match inputs[0].size()).
   std::vector<std::vector<double>> inputs;
   std::vector<std::size_t> stream_lengths;
   std::size_t repeats = 8;
