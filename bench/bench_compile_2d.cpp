@@ -1,7 +1,7 @@
 /// Bivariate (tensor-product) compiler bench: compile every two-input
 /// registry entry, certify it over the (x, y) MC grid at 4096-bit
 /// streams, measure cold-compile versus warm-cache latency, and close the
-/// loop with auto_tune2 on mul and alpha_blend. Emits the
+/// loop with the bivariate auto-tuner on mul and alpha_blend. Emits the
 /// machine-readable BENCH_compile_2d.json tracked as a CI artifact.
 
 #include <algorithm>
@@ -100,7 +100,8 @@ int main(int argc, char** argv) {
     entries.push_back(std::move(entry));
   }
 
-  bench::section("auto_tune2: cheapest (degree, width, length) per budget");
+  bench::section(
+      "auto_tune (bivariate): cheapest (degree, width, length) per budget");
   struct TuneReport {
     std::string id;
     cc::AutoTuneResult result;
@@ -115,7 +116,7 @@ int main(int argc, char** argv) {
     const auto t0 = std::chrono::steady_clock::now();
     TuneReport report;
     report.id = id;
-    report.result = cc::auto_tune2(id, budget, tune_options);
+    report.result = cc::auto_tune(id, budget, tune_options);
     report.seconds = seconds_since(t0);
     const cc::AutoTuneCandidate& c = report.result.chosen;
     std::printf("  %-12s %s: degree %zu, width %u, %zu bits -> MC MAE "

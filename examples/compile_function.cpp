@@ -122,7 +122,7 @@ int run_demo(int argc, char** argv) {
     eng::PackedRunConfig cfg;
     cfg.op = program->design_point().with_stream_length(4096);
     cfg.stimulus_seed = 2024 + static_cast<std::uint64_t>(1000 * x);
-    const eng::PackedRunResult r = program->run(x, cfg);
+    const eng::PackedRunResult r = program->run({x}, cfg);
     const double ref = fn->f(x);
     std::printf("  %-6.2f %-10.4f %-10.4f %-9.4f\n", x, ref,
                 r.optical_estimate, std::abs(r.optical_estimate - ref));

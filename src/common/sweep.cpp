@@ -26,6 +26,26 @@ void grid_for_each(const Range& xs, const Range& ys,
   }
 }
 
+void tensor_for_each(
+    const std::vector<double>& values, std::size_t arity,
+    const std::function<void(const std::vector<double>&)>& fn) {
+  if (values.empty() || arity == 0) return;
+  std::vector<std::size_t> index(arity, 0);
+  std::vector<double> point(arity, values.front());
+  for (;;) {
+    fn(point);
+    // Odometer step: advance the last axis, carrying into earlier ones.
+    std::size_t axis = arity;
+    while (axis > 0 && ++index[axis - 1] == values.size()) {
+      --axis;
+      index[axis] = 0;
+      point[axis] = values.front();
+    }
+    if (axis == 0) return;
+    point[axis - 1] = values[index[axis - 1]];
+  }
+}
+
 std::vector<ParetoPoint> pareto_front(std::vector<ParetoPoint> points) {
   std::sort(points.begin(), points.end(), [](const ParetoPoint& a,
                                              const ParetoPoint& b) {

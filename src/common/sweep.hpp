@@ -1,7 +1,8 @@
 #pragma once
 /// \file sweep.hpp
 /// \brief Parameter-sweep helpers for design-space exploration: inclusive
-///        ranges, cartesian grids and simple Pareto filtering.
+///        ranges, cartesian grids (two-axis and N-fold) and simple Pareto
+///        filtering.
 
 #include <cstddef>
 #include <functional>
@@ -23,6 +24,12 @@ struct Range {
 /// y inner loop).
 void grid_for_each(const Range& xs, const Range& ys,
                    const std::function<void(double, double)>& fn);
+
+/// Call `fn(point)` over the `arity`-fold cartesian power of `values`
+/// (row-major: the last axis varies fastest). Nothing is visited when
+/// `values` is empty or `arity` is 0.
+void tensor_for_each(const std::vector<double>& values, std::size_t arity,
+                     const std::function<void(const std::vector<double>&)>& fn);
 
 /// A candidate point in a 2-objective minimization problem.
 struct ParetoPoint {

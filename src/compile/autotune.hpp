@@ -6,11 +6,14 @@
 ///        whose certified MC MAE (plus its CI half-width) meets a user
 ///        accuracy budget (ROADMAP "degree/width auto-tuning").
 ///
-/// The cost model is a bit-operations proxy: stream_length * (degree + 1)
-/// * width - stream bits dominate latency/energy, channels and SNG
-/// resolution scale the hardware. Candidates whose deterministic
-/// approximation floor (dense-grid mean |poly - f|) already exceeds the
-/// budget are rejected without spending Monte-Carlo on any stream length.
+/// One walk serves every arity; each arity supplies only its compile step.
+/// The cost model is a bit-operations proxy: stream_length *
+/// (degree + 1)^arity * width - stream bits dominate latency/energy, the
+/// coefficient channels of every input bank and the SNG resolution scale
+/// the hardware. Candidates whose deterministic approximation floor
+/// (dense-grid mean |program - f|, 512 samples per axis for one input, 64
+/// for two) already exceeds the budget are rejected without spending
+/// Monte-Carlo on any stream length.
 
 #include <cstddef>
 #include <cstdint>
@@ -46,10 +49,10 @@ struct AutoTuneCandidate {
   std::size_t degree = 0;         ///< degree cap requested
   unsigned width = 16;            ///< SNG resolution [bits]
   std::size_t stream_length = 0;  ///< bits per evaluation
-  double cost = 0.0;              ///< stream_length * (degree+1) * width
+  double cost = 0.0;  ///< stream_length * (degree+1)^arity * width
   double mc_mae = 0.0;            ///< certified MAE (0 when floor-rejected)
   double mc_mae_ci = 0.0;
-  double approx_floor = 0.0;  ///< dense-grid mean |poly - f|
+  double approx_floor = 0.0;  ///< dense-grid mean |program - f|
   bool floor_rejected = false;  ///< skipped without MC: floor > budget
   bool met = false;             ///< mc_mae + mc_mae_ci <= budget
 };
@@ -76,8 +79,9 @@ struct AutoTuneResult {
     const std::string& function_id, const std::function<double(double)>& f,
     double accuracy_budget, const AutoTuneOptions& options = {});
 
-/// Registry convenience: tune a built-in function by id.
-/// \throws std::invalid_argument on an unknown id.
+/// Registry convenience: tune a built-in univariate or bivariate function
+/// by id.
+/// \throws std::invalid_argument on an id in neither catalogue.
 [[nodiscard]] AutoTuneResult auto_tune(const std::string& registry_id,
                                        double accuracy_budget,
                                        const AutoTuneOptions& options = {});
@@ -86,20 +90,12 @@ struct AutoTuneResult {
 /// each degree candidate becomes a symmetric per-axis cap (max_degree_x =
 /// max_degree_y = degree) and project2's per-axis selection picks the
 /// cheapest (deg_x, deg_y) under it; certification runs on the
-/// grid_points x grid_points (x, y) MC grid. The cost proxy counts both
-/// input banks: stream_length * (degree + 1)^2 * width.
+/// grid_points x grid_points (x, y) MC grid.
 /// \throws std::invalid_argument on invalid options or a non-positive
 ///         budget.
 [[nodiscard]] AutoTuneResult auto_tune2(
     const std::string& function_id,
     const std::function<double(double, double)>& f, double accuracy_budget,
     const AutoTuneOptions& options = {});
-
-/// Bivariate-registry convenience: tune a built-in two-input function by
-/// id.
-/// \throws std::invalid_argument on an unknown id.
-[[nodiscard]] AutoTuneResult auto_tune2(const std::string& registry_id,
-                                        double accuracy_budget,
-                                        const AutoTuneOptions& options = {});
 
 }  // namespace oscs::compile

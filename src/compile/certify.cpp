@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
+#include "common/sweep.hpp"
 #include "engine/batch.hpp"
 #include "optsc/link_budget.hpp"
 
@@ -56,20 +58,64 @@ void GridCertificationOptions::validate() const {
   }
 }
 
-Certification certify_at(const CompiledProgram& program,
-                         const std::function<double(double)>& reference,
-                         const oscs::OperatingPoint& op,
-                         const CertificationOptions& options) {
+namespace {
+
+/// `steps` evenly spaced coordinates i/divisor for i in [first, first +
+/// steps).
+std::vector<double> axis_values(std::size_t first, std::size_t steps,
+                                std::size_t divisor) {
+  std::vector<double> values;
+  values.reserve(steps);
+  for (std::size_t i = first; i < first + steps; ++i) {
+    values.push_back(static_cast<double>(i) / static_cast<double>(divisor));
+  }
+  return values;
+}
+
+/// The design operating point with the options' stream length and noise
+/// switch applied - what certify()/certify2()/certify_nd() run at.
+oscs::OperatingPoint design_op(const CompiledProgram& program,
+                               const CertificationOptions& options) {
+  options.validate();
+  oscs::OperatingPoint op =
+      program.design_point().with_stream_length(options.stream_length);
+  if (!options.noise_enabled) op = op.noiseless();
+  return op;
+}
+
+void require_arity(const CompiledProgram& program, std::size_t arity,
+                   const char* caller) {
+  if (program.arity() != arity) {
+    throw std::invalid_argument(
+        std::string(caller) + ": program '" + program.function_id() +
+        "' has arity " + std::to_string(program.arity()) + ", expected " +
+        std::to_string(arity));
+  }
+}
+
+}  // namespace
+
+Certification certify_at(
+    const CompiledProgram& program,
+    const std::function<double(const std::vector<double>&)>& reference,
+    const oscs::OperatingPoint& op, const CertificationOptions& options) {
   options.validate();
   op.validate();
+  const std::size_t arity = program.arity();
 
+  // The MC grid is the tensor of `grid_points` interior points per axis,
+  // enumerated as explicit coordinate tuples (one column per axis) since
+  // the engine evaluates tuples, not cross products.
   eng::BatchRequest request;
-  request.polynomials.push_back(program.poly());
-  request.xs.reserve(options.grid_points);
-  for (std::size_t i = 1; i <= options.grid_points; ++i) {
-    request.xs.push_back(static_cast<double>(i) /
-                         static_cast<double>(options.grid_points + 1));
-  }
+  request.programs_nd.push_back(program.program());
+  request.inputs.assign(arity, {});
+  oscs::tensor_for_each(
+      axis_values(1, options.grid_points, options.grid_points + 1), arity,
+      [&](const std::vector<double>& point) {
+        for (std::size_t j = 0; j < arity; ++j) {
+          request.inputs[j].push_back(point[j]);
+        }
+      });
   request.stream_lengths = {op.stream_length};
   request.repeats = options.repeats;
   request.seed = options.seed;
@@ -95,7 +141,7 @@ Certification certify_at(const CompiledProgram& program,
   // per-cell estimates: CI(mean of means) = sqrt(sum ci_i^2) / N.
   double ci_sq_sum = 0.0;
   for (const eng::BatchCell& cell : summary.cells) {
-    const double ref = reference(cell.x);
+    const double ref = reference(cell.point);
     const double err = std::abs(cell.optical_mean - ref);
     cert.mc_mae += err;
     cert.mc_worst = std::max(cert.mc_worst, err);
@@ -108,197 +154,72 @@ Certification certify_at(const CompiledProgram& program,
 
   // Deterministic pipeline error (projection + quantization), sampled on a
   // dense grid - the floor the MC estimate converges to as streams grow.
-  constexpr std::size_t kDenseSamples = 512;
-  for (std::size_t s = 0; s <= kDenseSamples; ++s) {
-    const double x = static_cast<double>(s) / kDenseSamples;
-    cert.approx_max_error = std::max(
-        cert.approx_max_error, std::abs(program.poly()(x) - reference(x)));
-  }
+  // Coarser per axis as arity grows: the tuple count is exponential in it.
+  cert.approx_max_error =
+      dense_error(program, reference,
+                  arity == 1 ? 512 : arity == 2 ? 128 : 24)
+          .max;
   return cert;
 }
 
-Certification certify2_at(const CompiledProgram& program,
-                          const std::function<double(double, double)>& reference,
-                          const oscs::OperatingPoint& op,
-                          const CertificationOptions& options) {
-  options.validate();
-  op.validate();
-  if (!program.is_bivariate()) {
-    throw std::invalid_argument("certify2_at: univariate program");
-  }
-
-  // The MC grid is the tensor of `grid_points` interior points per axis:
-  // the batch request enumerates every (x, y) pair explicitly since the
-  // bivariate engine evaluates pairs, not cross products.
-  eng::BatchRequest request;
-  request.polynomials2.push_back(program.poly2());
-  request.xs.reserve(options.grid_points * options.grid_points);
-  request.ys.reserve(options.grid_points * options.grid_points);
-  for (std::size_t i = 1; i <= options.grid_points; ++i) {
-    const double x = static_cast<double>(i) /
-                     static_cast<double>(options.grid_points + 1);
-    for (std::size_t j = 1; j <= options.grid_points; ++j) {
-      request.xs.push_back(x);
-      request.ys.push_back(static_cast<double>(j) /
-                           static_cast<double>(options.grid_points + 1));
-    }
-  }
-  request.stream_lengths = {op.stream_length};
-  request.repeats = options.repeats;
-  request.seed = options.seed;
-  request.source_kind = options.source_kind;
-  request.op = op;
-
-  const eng::BatchRunner runner(program.kernel(), program.design_point());
-  const eng::BatchSummary summary = runner.run_nd(request, options.threads);
-
-  Certification cert;
-  cert.op = op;
-  cert.stream_length = op.stream_length;
-  cert.repeats = options.repeats;
-  cert.grid_points = options.grid_points;
-  cert.noise_enabled = op.noisy();
-
-  double ci_sq_sum = 0.0;
-  for (const eng::BatchCell& cell : summary.cells) {
-    const double ref = reference(cell.x, cell.y);
-    const double err = std::abs(cell.optical_mean - ref);
-    cert.mc_mae += err;
-    cert.mc_worst = std::max(cert.mc_worst, err);
-    ci_sq_sum += cell.optical_ci * cell.optical_ci;
-  }
-  const auto n = static_cast<double>(summary.cells.size());
-  cert.mc_mae /= n;
-  cert.mc_mae_ci = std::sqrt(ci_sq_sum) / n;
-  cert.electronic_mae = summary.electronic_mae;
-
-  // Deterministic pipeline error on a dense (x, y) grid.
-  constexpr std::size_t kDenseSamples = 128;
-  for (std::size_t sx = 0; sx <= kDenseSamples; ++sx) {
-    const double x = static_cast<double>(sx) / kDenseSamples;
-    for (std::size_t sy = 0; sy <= kDenseSamples; ++sy) {
-      const double y = static_cast<double>(sy) / kDenseSamples;
-      cert.approx_max_error =
-          std::max(cert.approx_max_error,
-                   std::abs(program.poly2()(x, y) - reference(x, y)));
-    }
-  }
-  return cert;
-}
-
-Certification certify_nd_at(
+DenseError dense_error(
     const CompiledProgram& program,
     const std::function<double(const std::vector<double>&)>& reference,
-    const oscs::OperatingPoint& op, const CertificationOptions& options) {
-  options.validate();
-  op.validate();
-  if (!program.is_nd()) {
-    throw std::invalid_argument("certify_nd_at: dense program");
-  }
-  const std::size_t arity = program.arity();
+    std::size_t samples) {
+  DenseError error;
+  std::size_t tuples = 0;
+  oscs::tensor_for_each(
+      axis_values(0, samples + 1, samples), program.arity(),
+      [&](const std::vector<double>& point) {
+        const double err =
+            std::abs(program.program()(point) - reference(point));
+        error.max = std::max(error.max, err);
+        error.mean += err;
+        ++tuples;
+      });
+  error.mean /= static_cast<double>(tuples);
+  return error;
+}
 
-  // The MC grid is the tensor of `grid_points` interior points per axis,
-  // enumerated as explicit coordinate tuples (one column per axis) since
-  // the engine evaluates tuples, not cross products.
-  eng::BatchRequest request;
-  request.programs_nd.push_back(program.program_nd());
-  std::size_t tuples = 1;
-  for (std::size_t j = 0; j < arity; ++j) tuples *= options.grid_points;
-  request.inputs.assign(arity, {});
-  for (std::vector<double>& axis : request.inputs) axis.reserve(tuples);
-  for (std::size_t g = 0; g < tuples; ++g) {
-    std::size_t rest = g;
-    for (std::size_t j = arity; j-- > 0;) {
-      const std::size_t i = rest % options.grid_points;
-      rest /= options.grid_points;
-      request.inputs[j].push_back(static_cast<double>(i + 1) /
-                                  static_cast<double>(options.grid_points + 1));
-    }
-  }
-  request.stream_lengths = {op.stream_length};
-  request.repeats = options.repeats;
-  request.seed = options.seed;
-  request.source_kind = options.source_kind;
-  request.op = op;
+Certification certify(const CompiledProgram& program,
+                      const std::function<double(double)>& reference,
+                      const CertificationOptions& options) {
+  require_arity(program, 1, "certify");
+  return certify_at(
+      program, [&](const std::vector<double>& p) { return reference(p[0]); },
+      design_op(program, options), options);
+}
 
-  const eng::BatchRunner runner(program.kernel(), program.design_point());
-  const eng::BatchSummary summary = runner.run_nd(request, options.threads);
-
-  Certification cert;
-  cert.op = op;
-  cert.stream_length = op.stream_length;
-  cert.repeats = options.repeats;
-  cert.grid_points = options.grid_points;
-  cert.noise_enabled = op.noisy();
-
-  double ci_sq_sum = 0.0;
-  for (const eng::BatchCell& cell : summary.cells) {
-    const double ref = reference(cell.point);
-    const double err = std::abs(cell.optical_mean - ref);
-    cert.mc_mae += err;
-    cert.mc_worst = std::max(cert.mc_worst, err);
-    ci_sq_sum += cell.optical_ci * cell.optical_ci;
-  }
-  const auto n = static_cast<double>(summary.cells.size());
-  cert.mc_mae /= n;
-  cert.mc_mae_ci = std::sqrt(ci_sq_sum) / n;
-  cert.electronic_mae = summary.electronic_mae;
-
-  // Deterministic pipeline error on a dense per-axis grid (coarser than
-  // the dense-arity paths: the tuple count is exponential in arity).
-  constexpr std::size_t kDenseSamples = 24;
-  std::size_t dense_tuples = 1;
-  for (std::size_t j = 0; j < arity; ++j) dense_tuples *= kDenseSamples + 1;
-  std::vector<double> point(arity, 0.0);
-  for (std::size_t g = 0; g < dense_tuples; ++g) {
-    std::size_t rest = g;
-    for (std::size_t j = arity; j-- > 0;) {
-      point[j] = static_cast<double>(rest % (kDenseSamples + 1)) /
-                 static_cast<double>(kDenseSamples);
-      rest /= kDenseSamples + 1;
-    }
-    cert.approx_max_error =
-        std::max(cert.approx_max_error,
-                 std::abs(program.program_nd()(point) - reference(point)));
-  }
-  return cert;
+Certification certify2(const CompiledProgram& program,
+                       const std::function<double(double, double)>& reference,
+                       const CertificationOptions& options) {
+  require_arity(program, 2, "certify2");
+  return certify_at(
+      program,
+      [&](const std::vector<double>& p) { return reference(p[0], p[1]); },
+      design_op(program, options), options);
 }
 
 Certification certify_nd(
     const CompiledProgram& program,
     const std::function<double(const std::vector<double>&)>& reference,
     const CertificationOptions& options) {
-  options.validate();
-  oscs::OperatingPoint op =
-      program.design_point().with_stream_length(options.stream_length);
-  if (!options.noise_enabled) op = op.noiseless();
-  return certify_nd_at(program, reference, op, options);
-}
-
-Certification certify2(const CompiledProgram& program,
-                       const std::function<double(double, double)>& reference,
-                       const CertificationOptions& options) {
-  options.validate();
-  oscs::OperatingPoint op =
-      program.design_point().with_stream_length(options.stream_length);
-  if (!options.noise_enabled) op = op.noiseless();
-  return certify2_at(program, reference, op, options);
-}
-
-Certification certify(const CompiledProgram& program,
-                      const std::function<double(double)>& reference,
-                      const CertificationOptions& options) {
-  options.validate();
-  oscs::OperatingPoint op =
-      program.design_point().with_stream_length(options.stream_length);
-  if (!options.noise_enabled) op = op.noiseless();
-  return certify_at(program, reference, op, options);
+  if (!program.is_nd()) {
+    throw std::invalid_argument("certify_nd: program '" +
+                                program.function_id() +
+                                "' is a dense (uni/bivariate) program");
+  }
+  return certify_at(program, reference, design_op(program, options), options);
 }
 
 GridCertification certify_grid(const CompiledProgram& program,
                                const std::function<double(double)>& reference,
                                const GridCertificationOptions& options) {
   options.validate();
+  require_arity(program, 1, "certify_grid");
+  const auto point_reference = [&](const std::vector<double>& p) {
+    return reference(p[0]);
+  };
 
   std::vector<double> probes = options.probe_powers_mw;
   if (probes.empty()) {
@@ -324,7 +245,7 @@ GridCertification certify_grid(const CompiledProgram& program,
       GridCell cell;
       cell.op =
           budget.operating_point(probe, length, program.key().width);
-      cell.cert = certify_at(program, reference, cell.op, cell_options);
+      cell.cert = certify_at(program, point_reference, cell.op, cell_options);
       const std::size_t index = grid.cells.size();
       if (grid.cells.empty() ||
           cell.cert.mc_mae < grid.cells[grid.best_cell].cert.mc_mae) {

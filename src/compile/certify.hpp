@@ -3,16 +3,20 @@
 /// \brief Certification stage of the function compiler: run a compiled
 ///        program through the BatchRunner Monte-Carlo engine and measure
 ///        its empirical accuracy against the double-precision reference
-///        function - an MAE with a 95% confidence interval over an x grid,
-///        plus the deterministic approximation-error component.
+///        function - an MAE with a 95% confidence interval over a grid of
+///        interior points, plus the deterministic approximation-error
+///        component.
 ///
-/// Three entry points, all on the same machinery:
-///   * certify()      - at the program's design operating point
-///   * certify_at()   - at an explicit `oscs::OperatingPoint`
-///   * certify_grid() - an MAE/CI surface across a grid of probe powers
-///                      and stream lengths (the link budget maps each
-///                      probe power to its BER; ROADMAP "noise-aware
-///                      certification")
+/// One core serves every arity: certify_at() certifies program() at an
+/// explicit `oscs::OperatingPoint` against a point reference
+/// (double(const std::vector<double>&)), over the tensor grid of
+/// options.grid_points interior points per axis. Everything else adapts
+/// onto it:
+///   * certify() / certify2() / certify_nd() - at the program's design
+///     operating point, each wrapping its arity's reference shape;
+///   * certify_grid() - a univariate MAE/CI surface across a grid of probe
+///     powers and stream lengths (the link budget maps each probe power
+///     to its BER; ROADMAP "noise-aware certification").
 
 #include <cstddef>
 #include <cstdint>
@@ -40,68 +44,65 @@ struct CertificationOptions {
   void validate() const;
 };
 
-/// Certify `program` against `reference` (the original double(double)
-/// function) at its design operating point, with options.stream_length
-/// and options.noise_enabled applied on top. Deterministic for a fixed
-/// seed and any thread count, per the BatchRunner contract.
-/// \throws std::invalid_argument on invalid options.
+/// The certification core: certify `program` against `reference` at an
+/// explicit operating point (BER, stream length and SNG width all come
+/// from `op`; options.stream_length / noise_enabled are ignored). The MC
+/// grid is the tensor of options.grid_points interior points
+/// i/(grid_points+1) per axis - grid_points^arity coordinate tuples, the
+/// last axis varying fastest - run as one BatchRunner request over
+/// program(). The dense approximation-error sweep samples every axis on
+/// [0, 1] at 512 (arity 1), 128 (arity 2) or 24 (wider) steps.
+/// Deterministic for a fixed seed and any thread count, per the
+/// BatchRunner contract.
+/// \throws std::invalid_argument on invalid options or operating point.
+[[nodiscard]] Certification certify_at(
+    const CompiledProgram& program,
+    const std::function<double(const std::vector<double>&)>& reference,
+    const oscs::OperatingPoint& op, const CertificationOptions& options = {});
+
+/// Deterministic approximation error (projection + quantization, no
+/// sampling) of program() against `reference`.
+struct DenseError {
+  double max = 0.0;   ///< sup estimate of |program - reference|
+  double mean = 0.0;  ///< mean of |program - reference|
+};
+
+/// |program() - reference| over the dense tensor grid of samples + 1
+/// evenly spaced points s/samples per axis on [0, 1] (last axis fastest).
+/// certify_at() reports its `max`; auto_tune() floors candidates on its
+/// `mean`.
+[[nodiscard]] DenseError dense_error(
+    const CompiledProgram& program,
+    const std::function<double(const std::vector<double>&)>& reference,
+    std::size_t samples);
+
+/// Certify a univariate `program` against `reference` at its design
+/// operating point, with options.stream_length and options.noise_enabled
+/// applied on top.
+/// \throws std::invalid_argument on invalid options or a program of
+///         another arity.
 [[nodiscard]] Certification certify(
     const CompiledProgram& program,
     const std::function<double(double)>& reference,
     const CertificationOptions& options = {});
 
-/// Certify at an explicit operating point (BER, stream length and SNG
-/// width all come from `op`; options.stream_length / noise_enabled are
-/// ignored). This is the building block certify() and certify_grid()
-/// share.
-/// \throws std::invalid_argument on invalid options or operating point.
-[[nodiscard]] Certification certify_at(
-    const CompiledProgram& program,
-    const std::function<double(double)>& reference,
-    const oscs::OperatingPoint& op, const CertificationOptions& options = {});
-
 /// Certify a bivariate `program` against its two-input reference at its
-/// design operating point. The MC grid is the tensor of
-/// options.grid_points interior points per axis - grid_points^2 (x, y)
-/// cells, every pair evaluated through the two-input kernel mode.
-/// \throws std::invalid_argument on invalid options or a univariate
-///         program.
+/// design operating point (grid_points^2 (x, y) cells).
+/// \throws std::invalid_argument on invalid options or a program of
+///         another arity.
 [[nodiscard]] Certification certify2(
     const CompiledProgram& program,
     const std::function<double(double, double)>& reference,
     const CertificationOptions& options = {});
 
-/// Bivariate certification at an explicit operating point (BER, stream
-/// length and SNG width all come from `op`). The building block
-/// certify2() and auto_tune2() share.
-/// \throws std::invalid_argument on invalid options, an invalid operating
-///         point or a univariate program.
-[[nodiscard]] Certification certify2_at(
-    const CompiledProgram& program,
-    const std::function<double(double, double)>& reference,
-    const oscs::OperatingPoint& op, const CertificationOptions& options = {});
-
 /// Certify an N-ary separable `program` against its reference at its
-/// design operating point. The MC grid is the tensor of
-/// options.grid_points interior points per axis - grid_points^arity
-/// coordinate tuples, every tuple evaluated through the engine's N-ary
-/// entry point (BatchRunner::run_nd).
+/// design operating point (grid_points^arity coordinate tuples).
 /// \throws std::invalid_argument on invalid options or a dense
 ///         (uni/bivariate) program.
 [[nodiscard]] Certification certify_nd(
     const CompiledProgram& program,
     const std::function<double(const std::vector<double>&)>& reference,
     const CertificationOptions& options = {});
-
-/// N-ary certification at an explicit operating point (BER, stream length
-/// and SNG width all come from `op`). The building block certify_nd()
-/// wraps.
-/// \throws std::invalid_argument on invalid options, an invalid operating
-///         point or a dense (uni/bivariate) program.
-[[nodiscard]] Certification certify_nd_at(
-    const CompiledProgram& program,
-    const std::function<double(const std::vector<double>&)>& reference,
-    const oscs::OperatingPoint& op, const CertificationOptions& options = {});
 
 /// Controls for the operating-point grid sweep.
 struct GridCertificationOptions {
@@ -148,7 +149,8 @@ struct GridCertification {
 /// its BER, then certified at every stream length. The common random
 /// numbers (one seed for all cells) make adjacent cells directly
 /// comparable.
-/// \throws std::invalid_argument on invalid options.
+/// \throws std::invalid_argument on invalid options or a program that is
+///         not univariate.
 [[nodiscard]] GridCertification certify_grid(
     const CompiledProgram& program,
     const std::function<double(double)>& reference,

@@ -114,51 +114,68 @@ class CompiledProgram {
   CompiledProgram(const CompiledProgram&) = delete;
   CompiledProgram& operator=(const CompiledProgram&) = delete;
 
+  /// The program the hardware runs, in the one form every arity shares:
+  /// the dense univariate or bivariate Bernstein program (elevated to the
+  /// circuit minimum when a fit came out degree 0), or the quantized
+  /// sum-of-separable program. The kernel's orders() are this program's
+  /// per-axis orders.
+  [[nodiscard]] const stochastic::SeparableProgram& program() const noexcept {
+    return program_;
+  }
+
+  /// Program input count: 1 (univariate), 2 (bivariate) or the separable
+  /// program's arity.
+  [[nodiscard]] std::size_t arity() const noexcept { return program_.arity(); }
+
   /// True for programs compiled from a two-input function (tensor-product
-  /// Bernstein surface). The univariate accessors (poly/projection/
-  /// quantization) are only meaningful when this is false, and vice
-  /// versa.
-  [[nodiscard]] bool is_bivariate() const noexcept { return bivariate_; }
+  /// Bernstein surface).
+  [[nodiscard]] bool is_bivariate() const noexcept {
+    return program_.has_dense2();
+  }
 
   /// True for N-ary sum-of-separable programs (compile_nd). The separable
   /// accessors (program_nd/projection_nd/factor_quantizations) are only
   /// meaningful when this is true.
-  [[nodiscard]] bool is_nd() const noexcept { return run_program_.has_value(); }
-
-  /// Program input count: 1 (univariate), 2 (bivariate) or the separable
-  /// program's arity.
-  [[nodiscard]] std::size_t arity() const noexcept { return key_.arity; }
+  [[nodiscard]] bool is_nd() const noexcept {
+    return !program_.has_dense1() && !program_.has_dense2();
+  }
 
   [[nodiscard]] const ProgramKey& key() const noexcept { return key_; }
   [[nodiscard]] const std::string& function_id() const noexcept {
     return key_.function_id;
   }
-  /// The polynomial the hardware runs: quantized coefficients, elevated to
-  /// the circuit order when the fit came out degree 0.
-  [[nodiscard]] const stochastic::BernsteinPoly& poly() const noexcept {
-    return run_poly_;
+  /// The univariate polynomial the hardware runs (a view of program()).
+  /// \throws std::logic_error on a bivariate or N-ary program.
+  [[nodiscard]] const stochastic::BernsteinPoly& poly() const {
+    return program_.dense1();
   }
-  /// The tensor-product surface a bivariate program runs.
-  /// \throws std::bad_optional_access on a univariate program.
+  /// The tensor-product surface a bivariate program runs (a view of
+  /// program()).
+  /// \throws std::logic_error on a univariate or N-ary program.
   [[nodiscard]] const stochastic::BernsteinPoly2& poly2() const {
-    return run_poly2_.value();
+    return program_.dense2();
   }
+  /// The quantized separable program an N-ary program runs (a view of
+  /// program()).
+  /// \throws std::logic_error on a dense (uni/bivariate) program.
+  [[nodiscard]] const stochastic::SeparableProgram& program_nd() const;
+
+  /// First-axis circuit order (the factor order of an N-ary program).
   [[nodiscard]] std::size_t circuit_order() const noexcept {
-    if (run_program_.has_value()) return run_program_->factor_degree();
-    return bivariate_ ? run_poly2_->deg_x() : run_poly_.degree();
+    return kernel_->orders().front();
   }
-  /// Bivariate y-axis circuit order (0 for univariate programs).
+  /// Bivariate y-axis circuit order (0 for one-axis programs).
   [[nodiscard]] std::size_t circuit_order_y() const noexcept {
-    return bivariate_ ? run_poly2_->deg_y() : 0;
+    return kernel_->orders().size() > 1 ? kernel_->orders()[1] : 0;
   }
   /// True when a degree-0 fit (either axis for bivariate programs) was
   /// elevated to meet the order-1 circuit minimum. Separable programs fit
   /// at a fixed factor degree >= 1 and never elevate.
   [[nodiscard]] bool elevated() const noexcept {
     if (is_nd()) return false;
-    return bivariate_ ? (projection2_->degree_x == 0 ||
-                         projection2_->degree_y == 0)
-                      : projection_.degree == 0;
+    return is_bivariate() ? (projection2_->degree_x == 0 ||
+                             projection2_->degree_y == 0)
+                          : projection_.degree == 0;
   }
   [[nodiscard]] const ProjectionResult& projection() const noexcept {
     return projection_;
@@ -208,18 +225,6 @@ class CompiledProgram {
   /// shared out of the cache).
   void attach_certification(Certification cert) { cert_ = cert; }
 
-  /// One univariate evaluation through the packed kernel.
-  [[nodiscard]] engine::PackedRunResult run(
-      double x, const engine::PackedRunConfig& config) const {
-    return kernel_->run_nd(stochastic::SeparableProgram(run_poly_), {x},
-                           config);
-  }
-
-  /// The quantized separable program the hardware runs.
-  /// \throws std::bad_optional_access on a dense (uni/bivariate) program.
-  [[nodiscard]] const stochastic::SeparableProgram& program_nd() const {
-    return run_program_.value();
-  }
   /// Separable projection outcome.
   /// \throws std::bad_optional_access on a dense (uni/bivariate) program.
   [[nodiscard]] const ProjectionResultN& projection_nd() const {
@@ -232,31 +237,28 @@ class CompiledProgram {
     return factor_quantizations_;
   }
 
-  /// One N-ary evaluation: every term's factor streams through the packed
-  /// kernel, AND-multiplied and weight-accumulated.
-  /// \throws std::bad_optional_access on a dense (uni/bivariate) program.
-  [[nodiscard]] engine::PackedRunResult run_nd(
+  /// One evaluation at `point` (one coordinate per input) through the
+  /// packed kernel.
+  /// \throws std::invalid_argument on a point arity mismatch.
+  [[nodiscard]] engine::PackedRunResult run(
       const std::vector<double>& point,
       const engine::PackedRunConfig& config) const {
-    return kernel_->run_nd(run_program_.value(), point, config);
+    return kernel_->run_nd(program_, point, config);
   }
 
  private:
-  /// Shared tail of the constructors: circuit (at the first-axis order)
-  /// + kernel over the per-axis `orders` + design point.
+  /// Shared tail of the constructors: order-limit check, circuit (at the
+  /// first-axis order) + kernel over the per-axis `orders` + design point.
   void build_backend(std::vector<std::size_t> orders);
 
   ProgramKey key_;
-  bool bivariate_ = false;
   ProjectionResult projection_;
   QuantizationResult quantization_;
   std::optional<ProjectionResult2> projection2_;
   std::optional<QuantizationResult2> quantization2_;
   std::optional<ProjectionResultN> projection_nd_;
   std::vector<QuantizationResult> factor_quantizations_;
-  stochastic::BernsteinPoly run_poly_{std::vector<double>{0.0}};
-  std::optional<stochastic::BernsteinPoly2> run_poly2_;
-  std::optional<stochastic::SeparableProgram> run_program_;
+  stochastic::SeparableProgram program_;  ///< the run form (see program())
   std::shared_ptr<optsc::OpticalScCircuit> circuit_;  ///< kernel points here
   std::shared_ptr<const engine::PackedKernel> kernel_;
   oscs::OperatingPoint design_point_{};

@@ -315,7 +315,7 @@ void write_compiled_program(BinWriter& out, const CompiledProgram& program) {
     for (const QuantizationResult& q : program.factor_quantizations()) {
       write_quantization(out, q);
     }
-    write_separable_program(out, program.program_nd());
+    write_separable_program(out, program.program());
   } else if (program.is_bivariate()) {
     out.u8(static_cast<std::uint8_t>(ProgramForm::kBivariate));
     write_program_key(out, program.key());

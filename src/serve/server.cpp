@@ -508,11 +508,7 @@ ProgramServer::Resolved ProgramServer::resolve(const ServeRequest& request) {
     } catch (const std::invalid_argument& e) {
       throw ServeError(400, "bad_request", e.what());
     }
-    programs.push_back(arity > 2  ? program->program_nd()
-                       : arity == 2 ? stochastic::SeparableProgram(
-                                          program->poly2())
-                                    : stochastic::SeparableProgram(
-                                          program->poly()));
+    programs.push_back(program->program());
     resolved.holds.push_back(std::move(program));
     resolved.refs.push_back(std::move(ref));  // shadow reference: registry f
   }

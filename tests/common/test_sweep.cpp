@@ -39,6 +39,27 @@ TEST(GridForEach, VisitsCartesianProductRowMajor) {
   EXPECT_EQ(visited[5], (std::pair{1.0, 30.0}));
 }
 
+TEST(TensorForEach, VisitsCartesianPowerLastAxisFastest) {
+  std::vector<std::vector<double>> visited;
+  tensor_for_each({0.25, 0.5}, 3, [&](const std::vector<double>& point) {
+    visited.push_back(point);
+  });
+  ASSERT_EQ(visited.size(), 8u);
+  EXPECT_EQ(visited[0], (std::vector<double>{0.25, 0.25, 0.25}));
+  EXPECT_EQ(visited[1], (std::vector<double>{0.25, 0.25, 0.5}));
+  EXPECT_EQ(visited[2], (std::vector<double>{0.25, 0.5, 0.25}));
+  EXPECT_EQ(visited[4], (std::vector<double>{0.5, 0.25, 0.25}));
+  EXPECT_EQ(visited[7], (std::vector<double>{0.5, 0.5, 0.5}));
+
+  std::size_t calls = 0;
+  tensor_for_each({0.1, 0.2, 0.3}, 1,
+                  [&](const std::vector<double>&) { ++calls; });
+  EXPECT_EQ(calls, 3u);
+  tensor_for_each({}, 2, [&](const std::vector<double>&) { ++calls; });
+  tensor_for_each({0.1}, 0, [&](const std::vector<double>&) { ++calls; });
+  EXPECT_EQ(calls, 3u);
+}
+
 TEST(Pareto, KeepsOnlyNonDominatedPoints) {
   std::vector<ParetoPoint> pts{
       {1.0, 10.0, 0},  // front

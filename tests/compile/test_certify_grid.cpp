@@ -3,6 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "compile/autotune.hpp"
 #include "compile/compiler.hpp"
@@ -41,19 +42,22 @@ TEST(CertifyAt, ExplicitOperatingPointDrivesTheRun) {
   oscs::OperatingPoint op =
       program->design_point().with_stream_length(2048);
   op.ber = 0.05;  // a deliberately noisy synthetic point
-  const Certification noisy = certify_at(*program, fn->f, op, options);
+  const auto reference = [&](const std::vector<double>& p) {
+    return fn->f(p[0]);
+  };
+  const Certification noisy = certify_at(*program, reference, op, options);
   EXPECT_EQ(noisy.op, op);
   EXPECT_EQ(noisy.stream_length, 2048u);
   EXPECT_TRUE(noisy.noise_enabled);
 
   const Certification clean =
-      certify_at(*program, fn->f, op.noiseless(), options);
+      certify_at(*program, reference, op.noiseless(), options);
   // A 5% flip rate must cost measurable accuracy against the noiseless run.
   EXPECT_GT(noisy.mc_mae, clean.mc_mae);
 
   oscs::OperatingPoint bad = op;
   bad.stream_length = 0;
-  EXPECT_THROW((void)certify_at(*program, fn->f, bad, options),
+  EXPECT_THROW((void)certify_at(*program, reference, bad, options),
                std::invalid_argument);
 }
 
@@ -115,6 +119,21 @@ TEST(CertifyGrid, AllRegistryFunctionsAcrossThreeProbePoints) {
     // At (or above) the design probe the grid reproduces the healthy
     // design-point accuracy.
     EXPECT_LE(grid.best_mc_mae(), 0.05) << fn.id;
+  }
+}
+
+TEST(CertifyGrid, RejectsNonUnivariateProgramsNamingTheArity) {
+  const RegistryFunction2* fn = find_function2("mul");
+  ASSERT_NE(fn, nullptr);
+  CompileOptions options;
+  options.certify = false;
+  const auto program = compile_function2(fn->id, fn->f, options);
+  try {
+    (void)certify_grid(*program, [](double x) { return x; }, quick_grid());
+    ADD_FAILURE() << "certify_grid accepted a bivariate program";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("arity 2"), std::string::npos)
+        << e.what();
   }
 }
 

@@ -155,7 +155,7 @@ TEST(CompiledProgramTest, RunMatchesKernelEvaluation) {
   const auto program = compiler.compile("cube");
   eng::PackedRunConfig config;
   config.op = program->design_point().with_stream_length(1024).noiseless();
-  const eng::PackedRunResult r = program->run(0.6, config);
+  const eng::PackedRunResult r = program->run({0.6}, config);
   EXPECT_EQ(r.length, 1024u);
   EXPECT_NEAR(r.electronic_estimate, 0.6 * 0.6 * 0.6, 0.05);
 }
@@ -257,6 +257,7 @@ TEST(CompiledProgramTest, CertifiedErrorBudgetAndJsonExport) {
 
   const std::string json = certification_json(*program);
   EXPECT_NE(json.find("\"function\": \"sigmoid\""), std::string::npos);
+  EXPECT_NE(json.find("\"arity\": 1"), std::string::npos);
   EXPECT_NE(json.find("\"certified\": true"), std::string::npos);
   EXPECT_NE(json.find("\"error_budget\""), std::string::npos);
   EXPECT_NE(json.find("\"mc_mae\""), std::string::npos);
@@ -271,6 +272,12 @@ TEST(CompiledProgramTest, CertifiedErrorBudgetAndJsonExport) {
   const std::string bare_json = certification_json(*bare);
   EXPECT_NE(bare_json.find("\"certified\": false"), std::string::npos);
   EXPECT_EQ(bare_json.find("\"error_budget\""), std::string::npos);
+
+  // An N-ary program reports its own input count.
+  const auto luma = cold.compile_nd("rgb_luma");
+  const std::string luma_json = certification_json(*luma);
+  EXPECT_NE(luma_json.find("\"function\": \"rgb_luma\""), std::string::npos);
+  EXPECT_NE(luma_json.find("\"arity\": 3"), std::string::npos) << luma_json;
 }
 
 TEST(CertifyTest, OptionValidation) {

@@ -1,7 +1,8 @@
 /// Bivariate compiler pipeline tests: every tensor-product registry entry
 /// compiles and certifies over the (x, y) MC grid, the cache keys on
 /// (id, deg_x, deg_y, width) without cross-arity collisions, degree-0
-/// axes elevate to the circuit minimum, and auto_tune2 closes the loop.
+/// axes elevate to the circuit minimum, and the bivariate auto-tuner
+/// closes the loop.
 
 #include <gtest/gtest.h>
 
@@ -146,6 +147,16 @@ TEST(BivariateCompilerTest, BivariateAccessorsThrowOnUnivariatePrograms) {
   EXPECT_THROW((void)uni->quantization2(), std::exception);
 }
 
+TEST(BivariateCompilerTest, UnivariateAccessorsThrowOnBivariatePrograms) {
+  Compiler compiler(fast_options());
+  const auto biv = compiler.compile2(
+      "mul2", [](double x, double y) { return x * y; });
+  EXPECT_THROW((void)biv->poly(), std::exception);
+  EXPECT_THROW((void)biv->program_nd(), std::exception);
+  EXPECT_THROW((void)biv->projection_nd(), std::exception);
+  EXPECT_EQ(&biv->poly2(), &biv->program().dense2());
+}
+
 TEST(BivariateAutoTuneTest, MulMeetsBudgetCheaply) {
   AutoTuneOptions options;
   options.degrees = {1, 2};
@@ -153,7 +164,7 @@ TEST(BivariateAutoTuneTest, MulMeetsBudgetCheaply) {
   options.stream_lengths = {1024, 4096};
   options.repeats = 4;
   options.grid_points = 3;
-  const AutoTuneResult result = auto_tune2("mul", 0.02, options);
+  const AutoTuneResult result = auto_tune("mul", 0.02, options);
   EXPECT_TRUE(result.met);
   EXPECT_EQ(result.chosen.degree, 1u);  // cheapest candidate wins
   ASSERT_NE(result.program, nullptr);
@@ -162,8 +173,8 @@ TEST(BivariateAutoTuneTest, MulMeetsBudgetCheaply) {
 }
 
 TEST(BivariateAutoTuneTest, RejectsBadInputs) {
-  EXPECT_THROW((void)auto_tune2("mul", 0.0), std::invalid_argument);
-  EXPECT_THROW((void)auto_tune2("no_such_fn", 0.02), std::invalid_argument);
+  EXPECT_THROW((void)auto_tune("mul", 0.0), std::invalid_argument);
+  EXPECT_THROW((void)auto_tune("no_such_fn", 0.02), std::invalid_argument);
 }
 
 }  // namespace

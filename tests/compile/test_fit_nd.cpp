@@ -133,6 +133,24 @@ TEST(SeparableCompilerTest, CompileNdProducesARunnableProgram) {
   EXPECT_NEAR(program->program_nd()(point), fn->f(point), 0.08);
 }
 
+TEST(SeparableCompilerTest, DenseAccessorsThrowAndRunTakesThePoint) {
+  Compiler compiler(fast_options());
+  const auto program = compiler.compile_nd("trilinear_mix");
+  EXPECT_THROW((void)program->poly(), std::exception);
+  EXPECT_THROW((void)program->poly2(), std::exception);
+  EXPECT_THROW((void)program->projection2(), std::exception);
+  EXPECT_EQ(&program->program_nd(), &program->program());
+  EXPECT_EQ(program->circuit_order_y(), 0u);
+
+  engine::PackedRunConfig config;
+  config.op = program->design_point().with_stream_length(4096).noiseless();
+  const std::vector<double> point{0.3, 0.8, 0.6};
+  const engine::PackedRunResult r = program->run(point, config);
+  EXPECT_EQ(r.length, 4096u);
+  EXPECT_NEAR(r.optical_estimate, program->program()(point), 0.08);
+  EXPECT_THROW((void)program->run({0.3, 0.8}, config), std::invalid_argument);
+}
+
 TEST(SeparableCompilerTest, CompileNdHitsTheSharedCache) {
   Compiler compiler(fast_options());
   const auto first = compiler.compile_nd("rgb_luma");
