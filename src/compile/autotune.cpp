@@ -194,8 +194,9 @@ AutoTuneResult auto_tune(const std::string& registry_id,
   if (const RegistryFunction2* fn2 = find_function2(registry_id)) {
     return auto_tune2(fn2->id, fn2->f, accuracy_budget, options);
   }
-  throw std::invalid_argument("auto_tune: unknown registry function '" +
-                              registry_id + "'");
+  throw std::invalid_argument("auto_tune: '" + registry_id +
+                              "' is not a univariate or bivariate registry "
+                              "function");
 }
 
 }  // namespace oscs::compile

@@ -81,7 +81,8 @@ struct AutoTuneResult {
 
 /// Registry convenience: tune a built-in univariate or bivariate function
 /// by id.
-/// \throws std::invalid_argument on an id in neither catalogue.
+/// \throws std::invalid_argument on an id in neither catalogue (N-ary
+///         registry entries included).
 [[nodiscard]] AutoTuneResult auto_tune(const std::string& registry_id,
                                        double accuracy_budget,
                                        const AutoTuneOptions& options = {});

@@ -166,6 +166,9 @@ DenseError dense_error(
     const CompiledProgram& program,
     const std::function<double(const std::vector<double>&)>& reference,
     std::size_t samples) {
+  if (samples == 0) {
+    throw std::invalid_argument("dense_error: zero samples per axis");
+  }
   DenseError error;
   std::size_t tuples = 0;
   oscs::tensor_for_each(

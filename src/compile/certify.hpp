@@ -71,6 +71,7 @@ struct DenseError {
 /// evenly spaced points s/samples per axis on [0, 1] (last axis fastest).
 /// certify_at() reports its `max`; auto_tune() floors candidates on its
 /// `mean`.
+/// \throws std::invalid_argument on zero samples.
 [[nodiscard]] DenseError dense_error(
     const CompiledProgram& program,
     const std::function<double(const std::vector<double>&)>& reference,

@@ -74,7 +74,7 @@ CompiledProgram::CompiledProgram(ProgramKey key, ProjectionResult projection,
     : key_(std::move(key)),
       projection_(std::move(projection)),
       quantization_(std::move(quantization)),
-      program_(circuit_poly(quantization_.poly)) {
+      program_(circuit_poly(quantization_->poly)) {
   build_backend({program_.dense1().degree()});
 }
 
@@ -113,8 +113,7 @@ CompiledProgram::CompiledProgram(
   }
   if (order == 0) {
     throw std::invalid_argument(
-        "CompiledProgram: factor degree outside the packed-kernel order "
-        "range");
+        "CompiledProgram: separable factor degree must be >= 1");
   }
   build_backend({order});
 }

@@ -104,9 +104,9 @@ class CompiledProgram {
   /// `factor_quantizations` carries the per-factor quantization outcomes
   /// in term-major factor order; `quantized` is the program rebuilt from
   /// those quantized factors.
-  /// \throws std::invalid_argument if the factor degree exceeds the
-  ///         packed-kernel order limit, factor degrees disagree, or the
-  ///         program is a dense delegation form.
+  /// \throws std::invalid_argument if the factor degree is 0 or exceeds
+  ///         the packed-kernel order limit, factor degrees disagree, or
+  ///         the program is a dense delegation form.
   CompiledProgram(ProgramKey key, ProjectionResultN projection,
                   std::vector<QuantizationResult> factor_quantizations,
                   stochastic::SeparableProgram quantized);
@@ -175,13 +175,17 @@ class CompiledProgram {
     if (is_nd()) return false;
     return is_bivariate() ? (projection2_->degree_x == 0 ||
                              projection2_->degree_y == 0)
-                          : projection_.degree == 0;
+                          : projection_->degree == 0;
   }
-  [[nodiscard]] const ProjectionResult& projection() const noexcept {
-    return projection_;
+  /// Univariate projection outcome.
+  /// \throws std::bad_optional_access on a bivariate or N-ary program.
+  [[nodiscard]] const ProjectionResult& projection() const {
+    return projection_.value();
   }
-  [[nodiscard]] const QuantizationResult& quantization() const noexcept {
-    return quantization_;
+  /// Univariate quantization outcome.
+  /// \throws std::bad_optional_access on a bivariate or N-ary program.
+  [[nodiscard]] const QuantizationResult& quantization() const {
+    return quantization_.value();
   }
   /// Bivariate projection outcome.
   /// \throws std::bad_optional_access on a univariate program.
@@ -252,8 +256,8 @@ class CompiledProgram {
   void build_backend(std::vector<std::size_t> orders);
 
   ProgramKey key_;
-  ProjectionResult projection_;
-  QuantizationResult quantization_;
+  std::optional<ProjectionResult> projection_;
+  std::optional<QuantizationResult> quantization_;
   std::optional<ProjectionResult2> projection2_;
   std::optional<QuantizationResult2> quantization2_;
   std::optional<ProjectionResultN> projection_nd_;

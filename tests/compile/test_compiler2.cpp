@@ -152,6 +152,8 @@ TEST(BivariateCompilerTest, UnivariateAccessorsThrowOnBivariatePrograms) {
   const auto biv = compiler.compile2(
       "mul2", [](double x, double y) { return x * y; });
   EXPECT_THROW((void)biv->poly(), std::exception);
+  EXPECT_THROW((void)biv->projection(), std::exception);
+  EXPECT_THROW((void)biv->quantization(), std::exception);
   EXPECT_THROW((void)biv->program_nd(), std::exception);
   EXPECT_THROW((void)biv->projection_nd(), std::exception);
   EXPECT_EQ(&biv->poly2(), &biv->program().dense2());

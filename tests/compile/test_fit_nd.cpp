@@ -137,6 +137,7 @@ TEST(SeparableCompilerTest, DenseAccessorsThrowAndRunTakesThePoint) {
   Compiler compiler(fast_options());
   const auto program = compiler.compile_nd("trilinear_mix");
   EXPECT_THROW((void)program->poly(), std::exception);
+  EXPECT_THROW((void)program->projection(), std::exception);
   EXPECT_THROW((void)program->poly2(), std::exception);
   EXPECT_THROW((void)program->projection2(), std::exception);
   EXPECT_EQ(&program->program_nd(), &program->program());
