@@ -31,14 +31,6 @@ Matrix Matrix::identity(std::size_t n) {
   return m;
 }
 
-double& Matrix::operator()(std::size_t r, std::size_t c) {
-  return data_[r * cols_ + c];
-}
-
-double Matrix::operator()(std::size_t r, std::size_t c) const {
-  return data_[r * cols_ + c];
-}
-
 Matrix Matrix::transposed() const {
   Matrix t(cols_, rows_);
   for (std::size_t r = 0; r < rows_; ++r) {

@@ -24,8 +24,14 @@ class Matrix {
   [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
   [[nodiscard]] std::size_t cols() const noexcept { return cols_; }
 
-  [[nodiscard]] double& operator()(std::size_t r, std::size_t c);
-  [[nodiscard]] double operator()(std::size_t r, std::size_t c) const;
+  // Inline: these sit in the innermost loops of every normal-equations
+  // build and solve.
+  [[nodiscard]] double& operator()(std::size_t r, std::size_t c) {
+    return data_[r * cols_ + c];
+  }
+  [[nodiscard]] double operator()(std::size_t r, std::size_t c) const {
+    return data_[r * cols_ + c];
+  }
 
   [[nodiscard]] Matrix transposed() const;
   [[nodiscard]] Matrix operator*(const Matrix& rhs) const;

@@ -1,6 +1,9 @@
 #include "common/quadrature.hpp"
 
+#include <array>
+#include <atomic>
 #include <cmath>
+#include <memory>
 #include <stdexcept>
 
 namespace oscs {
@@ -77,9 +80,39 @@ QuadratureRule gauss_legendre(std::size_t n) {
   return rule;
 }
 
+namespace {
+
+/// Rules of up to 256 points (the range gauss_legendre is accurate for)
+/// are memoized; larger ones are rebuilt on every call.
+constexpr std::size_t kMemoizedRules = 257;
+
+/// The n-point rule, built once per n and shared by every thread. Lookup
+/// is one acquire load; two threads racing on a cold n both build the
+/// (identical) rule and the loser frees its copy. Published rules are
+/// never freed, so references stay valid for the process lifetime.
+const QuadratureRule& memoized_rule(std::size_t n) {
+  static std::array<std::atomic<const QuadratureRule*>, kMemoizedRules>
+      rules{};
+  std::atomic<const QuadratureRule*>& slot = rules[n];
+  const QuadratureRule* rule = slot.load(std::memory_order_acquire);
+  if (rule == nullptr) {
+    auto fresh = std::make_unique<const QuadratureRule>(gauss_legendre(n));
+    if (slot.compare_exchange_strong(rule, fresh.get(),
+                                     std::memory_order_acq_rel,
+                                     std::memory_order_acquire)) {
+      rule = fresh.release();
+    }
+  }
+  return *rule;
+}
+
+}  // namespace
+
 double integrate_gl(const std::function<double(double)>& f, double a, double b,
                     std::size_t n) {
-  const QuadratureRule rule = gauss_legendre(n);
+  const QuadratureRule large =
+      n < kMemoizedRules ? QuadratureRule{} : gauss_legendre(n);
+  const QuadratureRule& rule = n < kMemoizedRules ? memoized_rule(n) : large;
   const double half = 0.5 * (b - a);
   const double mid = 0.5 * (a + b);
   double sum = 0.0;

@@ -21,7 +21,11 @@ struct QuadratureRule {
 /// Chebyshev initial guess; accurate to machine precision for n <= 256.
 [[nodiscard]] QuadratureRule gauss_legendre(std::size_t n);
 
-/// Integrate f over [a, b] with an n-point Gauss-Legendre rule.
+/// Integrate f over [a, b] with an n-point Gauss-Legendre rule. The rule
+/// for each n is built once and shared lock-free across threads, so nested
+/// (tensor-product) integrals pay the Newton root solve once per n, not
+/// once per call.
+/// \throws std::invalid_argument when n is 0.
 [[nodiscard]] double integrate_gl(const std::function<double(double)>& f,
                                   double a, double b, std::size_t n = 32);
 

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/linalg.hpp"
@@ -320,40 +323,124 @@ void ProjectionOptionsN::validate() const {
 
 namespace {
 
-/// Working state of one separable term during the ALS fit: factor
-/// coefficients plus their values at every grid node, per axis.
+/// Fit grids larger than this are rejected before anything is allocated:
+/// the dense grid holds the target, the residual and one contribution per
+/// term at every point, and samples^arity wraps std::size_t well before
+/// the arity a caller could mistype stops looking plausible.
+constexpr std::size_t kMaxFitGridPoints = std::size_t{1} << 20;
+
+/// Working state of one separable term during the ALS fit.
 struct AlsTerm {
   double weight = 0.0;
   /// [axis][coefficient], each vector of size degree+1, in [0,1].
   std::vector<std::vector<double>> coeffs;
-  /// [axis][node]: factor value at the node, kept in sync with coeffs.
-  std::vector<std::vector<double>> values;
+  /// [axis * samples + node]: factor value at the node, kept in sync with
+  /// coeffs.
+  std::vector<double> values;
+  /// [grid point]: weight times the product of every factor value (in
+  /// term_product's axis order), refreshed after each weight update.
+  std::vector<double> contrib;
 };
 
-/// Recompute one factor's node values from its coefficients.
+/// Recompute one factor's node values from its coefficients; `basis` is
+/// the flat samples x dim Bernstein table.
 void refresh_values(AlsTerm& term, std::size_t axis,
-                    const oscs::Matrix& basis) {
-  std::vector<double>& values = term.values[axis];
+                    const std::vector<double>& basis, std::size_t samples) {
   const std::vector<double>& coeffs = term.coeffs[axis];
-  for (std::size_t s = 0; s < basis.rows(); ++s) {
+  const std::size_t dim = coeffs.size();
+  double* values = term.values.data() + axis * samples;
+  for (std::size_t s = 0; s < samples; ++s) {
+    const double* row = basis.data() + s * dim;
     double v = 0.0;
-    for (std::size_t a = 0; a < coeffs.size(); ++a) {
-      v += coeffs[a] * basis(s, a);
-    }
+    for (std::size_t a = 0; a < dim; ++a) v += coeffs[a] * row[a];
     values[s] = v;
   }
 }
 
-/// Product of term factor values at one grid point, skipping `skip_axis`
-/// (pass arity or larger to include every axis).
-double term_product(const AlsTerm& term, const std::vector<std::size_t>& idx,
+/// Product of term factor values at the grid point whose per-axis node
+/// indices are `idx[0..arity)`, skipping `skip_axis` (pass arity or larger
+/// to include every axis).
+double term_product(const AlsTerm& term, const std::uint32_t* idx,
+                    std::size_t arity, std::size_t samples,
                     std::size_t skip_axis) {
   double product = 1.0;
-  for (std::size_t j = 0; j < idx.size(); ++j) {
+  for (std::size_t j = 0; j < arity; ++j) {
     if (j == skip_axis) continue;
-    product *= term.values[j][idx[j]];
+    product *= term.values[j * samples + idx[j]];
   }
   return product;
+}
+
+/// The dense fit grid every ALS subproblem loops over.
+struct FitGrid {
+  std::size_t arity = 0;
+  std::size_t samples = 0;  ///< nodes per axis
+  std::size_t dim = 0;      ///< factor basis size (degree + 1)
+  std::size_t points = 0;   ///< samples^arity
+  std::vector<double> basis;          ///< [node * dim + a]
+  std::vector<std::uint32_t> coords;  ///< [point * arity + axis] -> node
+};
+
+/// Normal equations of `term`'s factor on `axis` against `residual`, lower
+/// triangle only, into gram (dim x dim) and rhs (dim); returns the sum of
+/// the squared point weights p. The per-point order - pb = p * B[a],
+/// rhs[a] += r * pb, gram(a, b) += pb * p * B[b] - is the contract the
+/// projection goldens pin. A nonzero Dim fixes dim at compile time so the
+/// accumulators stay in registers; Dim == 0 serves any basis size.
+template <std::size_t Dim>
+double accumulate_factor_as(const AlsTerm& term, std::size_t axis,
+                            const FitGrid& fit,
+                            const std::vector<double>& residual, double* gram,
+                            double* rhs) {
+  const std::size_t dim = Dim > 0 ? Dim : fit.dim;
+  double fixed_gram[Dim > 0 ? Dim * Dim : 1] = {};
+  double fixed_rhs[Dim > 0 ? Dim : 1] = {};
+  double* const g_acc = Dim > 0 ? fixed_gram : gram;
+  double* const r_acc = Dim > 0 ? fixed_rhs : rhs;
+  if constexpr (Dim == 0) {
+    std::fill(gram, gram + dim * dim, 0.0);
+    std::fill(rhs, rhs + dim, 0.0);
+  }
+  double p_sq_sum = 0.0;
+  for (std::size_t g = 0; g < fit.points; ++g) {
+    const std::uint32_t* idx = &fit.coords[g * fit.arity];
+    const double p = term.weight *
+                     term_product(term, idx, fit.arity, fit.samples, axis);
+    if (p == 0.0) continue;
+    p_sq_sum += p * p;
+    const double r = residual[g];
+    const double* row = fit.basis.data() + idx[axis] * dim;
+    for (std::size_t a = 0; a < dim; ++a) {
+      const double pb = p * row[a];
+      r_acc[a] += r * pb;
+      for (std::size_t b = 0; b <= a; ++b) {
+        g_acc[a * dim + b] += pb * p * row[b];
+      }
+    }
+  }
+  if constexpr (Dim > 0) {
+    std::copy(fixed_gram, fixed_gram + dim * dim, gram);
+    std::copy(fixed_rhs, fixed_rhs + dim, rhs);
+  }
+  return p_sq_sum;
+}
+
+double accumulate_factor(const AlsTerm& term, std::size_t axis,
+                         const FitGrid& fit,
+                         const std::vector<double>& residual, double* gram,
+                         double* rhs) {
+  switch (fit.dim) {
+    case 2:
+      return accumulate_factor_as<2>(term, axis, fit, residual, gram, rhs);
+    case 3:
+      return accumulate_factor_as<3>(term, axis, fit, residual, gram, rhs);
+    case 4:
+      return accumulate_factor_as<4>(term, axis, fit, residual, gram, rhs);
+    case 5:
+      return accumulate_factor_as<5>(term, axis, fit, residual, gram, rhs);
+    default:
+      return accumulate_factor_as<0>(term, axis, fit, residual, gram, rhs);
+  }
 }
 
 }  // namespace
@@ -366,68 +453,113 @@ ProjectionResultN project_nd(
     throw std::invalid_argument("project_nd: zero arity");
   }
 
-  const std::size_t samples = options.grid_samples;
-  const std::size_t dim = options.degree + 1;
+  FitGrid fit;
+  fit.arity = arity;
+  fit.samples = options.grid_samples;
+  fit.dim = options.degree + 1;
+  const std::size_t samples = fit.samples;
+  const std::size_t dim = fit.dim;
+
+  // The full tensor grid, flattened axis-0-major. Its size is checked
+  // before anything is allocated: samples^arity overflows silently.
+  std::size_t grid = 1;
+  for (std::size_t j = 0; j < arity; ++j) {
+    if (grid > kMaxFitGridPoints / samples) {
+      throw std::invalid_argument(
+          "project_nd: arity " + std::to_string(arity) + " at grid_samples " +
+          std::to_string(samples) + " exceeds the " +
+          std::to_string(kMaxFitGridPoints) + "-point fit grid cap");
+    }
+    grid *= samples;
+  }
+  fit.points = grid;
 
   // Shared per-axis machinery: the node grid spans [0,1] endpoints
   // included (the sup-norm estimate needs the boundary), and every axis
-  // evaluates the same Bernstein basis matrix.
+  // evaluates the same Bernstein basis table.
   std::vector<double> nodes(samples);
   for (std::size_t s = 0; s < samples; ++s) {
     nodes[s] = static_cast<double>(s) / static_cast<double>(samples - 1);
   }
-  oscs::Matrix basis(samples, dim);
+  fit.basis.resize(samples * dim);
   for (std::size_t s = 0; s < samples; ++s) {
     for (std::size_t a = 0; a < dim; ++a) {
-      basis(s, a) = sc::bernstein_basis(a, options.degree, nodes[s]);
+      fit.basis[s * dim + a] =
+          sc::bernstein_basis(a, options.degree, nodes[s]);
     }
   }
 
-  // The full tensor grid, flattened axis-0-major. N and samples are both
-  // small (rank-budget fits at <= 4 axes), so the dense table is cheap and
-  // keeps every ALS subproblem a plain loop.
-  std::size_t grid = 1;
-  for (std::size_t j = 0; j < arity; ++j) grid *= samples;
-  std::vector<std::size_t> strides(arity, 1);
-  for (std::size_t j = arity; j-- > 1;) {
-    strides[j - 1] = strides[j] * samples;
-  }
+  // Every grid point's per-axis node indices are decoded once, into
+  // fit.coords, alongside the target value.
+  fit.coords.resize(grid * arity);
   std::vector<double> target(grid, 0.0);
   {
+    std::vector<std::size_t> strides(arity, 1);
+    for (std::size_t j = arity; j-- > 1;) {
+      strides[j - 1] = strides[j] * samples;
+    }
     std::vector<double> point(arity, 0.0);
     for (std::size_t g = 0; g < grid; ++g) {
       for (std::size_t j = 0; j < arity; ++j) {
-        point[j] = nodes[(g / strides[j]) % samples];
+        const std::size_t s = (g / strides[j]) % samples;
+        fit.coords[g * arity + j] = static_cast<std::uint32_t>(s);
+        point[j] = nodes[s];
       }
       target[g] = f(point);
     }
   }
 
   std::vector<AlsTerm> terms;
-  std::vector<std::size_t> idx(arity, 0);
-  const auto decode = [&](std::size_t g) {
-    for (std::size_t j = 0; j < arity; ++j) {
-      idx[j] = (g / strides[j]) % samples;
-    }
-  };
-  // Model value at grid point `idx`, excluding term `skip_term`.
-  const auto partial_model = [&](std::size_t skip_term) {
-    double v = 0.0;
+  // residual[g] = target[g] - sum of the other terms' contributions, the
+  // sum taken in term order. One residual serves a term's factor solves
+  // and its weight update: only that term changes in between.
+  std::vector<double> residual(grid, 0.0);
+  const auto residual_excluding = [&](std::size_t skip_term) {
+    std::fill(residual.begin(), residual.end(), 0.0);
     for (std::size_t t = 0; t < terms.size(); ++t) {
       if (t == skip_term) continue;
-      v += terms[t].weight * term_product(terms[t], idx, arity);
+      const std::vector<double>& contrib = terms[t].contrib;
+      for (std::size_t g = 0; g < grid; ++g) residual[g] += contrib[g];
     }
-    return v;
+    for (std::size_t g = 0; g < grid; ++g) {
+      residual[g] = target[g] - residual[g];
+    }
+  };
+  // Full products of one term at every point (scratch for the weight
+  // solves) and its refreshed contribution once the weight is set.
+  std::vector<double> products(grid, 0.0);
+  const auto full_products = [&](const AlsTerm& term) {
+    for (std::size_t g = 0; g < grid; ++g) {
+      products[g] =
+          term_product(term, &fit.coords[g * arity], arity, samples, arity);
+    }
+  };
+  const auto set_weight = [&](AlsTerm& term, double weight) {
+    term.weight = weight;
+    for (std::size_t g = 0; g < grid; ++g) {
+      term.contrib[g] = weight * products[g];
+    }
+  };
+  // Numerator and denominator of the 1-D least-squares weight of the
+  // products against the current residual.
+  const auto weight_moments = [&] {
+    double num = 0.0;
+    double den = 0.0;
+    for (std::size_t g = 0; g < grid; ++g) {
+      num += residual[g] * products[g];
+      den += products[g] * products[g];
+    }
+    return std::pair<double, double>{num, den};
   };
 
   ProjectionResultN result;
   result.arity = arity;
   const auto measure = [&] {
+    residual_excluding(terms.size());
     double max_err = 0.0;
     double sq_sum = 0.0;
     for (std::size_t g = 0; g < grid; ++g) {
-      decode(g);
-      const double e = target[g] - partial_model(terms.size());
+      const double e = residual[g];
       max_err = std::max(max_err, std::abs(e));
       sq_sum += e * e;
     }
@@ -435,28 +567,27 @@ ProjectionResultN project_nd(
     result.l2_error = std::sqrt(sq_sum / static_cast<double>(grid));
   };
 
+  std::vector<double> gram(dim * dim);
+  std::vector<double> rhs(dim);
   for (std::size_t rank = 0; rank < options.max_terms; ++rank) {
     // New term: constant-1/2 factors; the nonnegative weight projection of
     // the current residual onto that constant seeds the magnitude (floored
     // so ALS can pull a mixed-sign residual term out of the corner).
     AlsTerm term;
     term.coeffs.assign(arity, std::vector<double>(dim, 0.5));
-    term.values.assign(arity, std::vector<double>(samples, 0.0));
-    for (std::size_t j = 0; j < arity; ++j) refresh_values(term, j, basis);
+    term.values.assign(arity * samples, 0.0);
+    term.contrib.assign(grid, 0.0);
+    for (std::size_t j = 0; j < arity; ++j) {
+      refresh_values(term, j, fit.basis, samples);
+    }
     terms.push_back(std::move(term));
 
     const std::size_t t_new = terms.size() - 1;
     {
-      double num = 0.0;
-      double den = 0.0;
-      for (std::size_t g = 0; g < grid; ++g) {
-        decode(g);
-        const double product = term_product(terms[t_new], idx, arity);
-        num += (target[g] - partial_model(t_new)) * product;
-        den += product * product;
-      }
-      terms[t_new].weight =
-          std::max(den > 0.0 ? num / den : 0.0, 1e-3);
+      residual_excluding(t_new);
+      full_products(terms[t_new]);
+      const auto [num, den] = weight_moments();
+      set_weight(terms[t_new], std::max(den > 0.0 ? num / den : 0.0, 1e-3));
     }
 
     // Block-coordinate polish over every term: each factor solve is a
@@ -467,58 +598,35 @@ ProjectionResultN project_nd(
     for (std::size_t sweep = 0; sweep < options.als_sweeps; ++sweep) {
       for (std::size_t t = 0; t < terms.size(); ++t) {
         AlsTerm& active = terms[t];
+        residual_excluding(t);
         for (std::size_t j = 0; j < arity; ++j) {
-          oscs::Matrix gram(dim, dim);
-          std::vector<double> rhs(dim, 0.0);
-          double p_sq_sum = 0.0;
-          for (std::size_t g = 0; g < grid; ++g) {
-            decode(g);
-            const double p =
-                active.weight * term_product(active, idx, j);
-            if (p == 0.0) continue;
-            p_sq_sum += p * p;
-            const double r = target[g] - partial_model(t);
-            const std::size_t s = idx[j];
-            for (std::size_t a = 0; a < dim; ++a) {
-              const double pb = p * basis(s, a);
-              rhs[a] += r * pb;
-              for (std::size_t b = 0; b <= a; ++b) {
-                gram(a, b) += pb * p * basis(s, b);
-              }
-            }
-          }
+          const double p_sq_sum = accumulate_factor(
+              active, j, fit, residual, gram.data(), rhs.data());
           if (p_sq_sum <= 1e-14) continue;  // dead term; weight stays 0
           double ridge = 0.0;
           for (std::size_t a = 0; a < dim; ++a) {
-            ridge = std::max(ridge, gram(a, a));
+            ridge = std::max(ridge, gram[a * dim + a]);
           }
+          oscs::Matrix normal(dim, dim);
           for (std::size_t a = 0; a < dim; ++a) {
-            for (std::size_t b = 0; b < a; ++b) {
-              gram(b, a) = gram(a, b);
+            for (std::size_t b = 0; b <= a; ++b) {
+              normal(a, b) = gram[a * dim + b];
+              normal(b, a) = gram[a * dim + b];
             }
             // Tiny Tikhonov floor keeps the active-set Cholesky solvable
             // when a factor's mass concentrates on few basis columns.
-            gram(a, a) += 1e-12 * (ridge + 1.0);
+            normal(a, a) += 1e-12 * (ridge + 1.0);
           }
-          active.coeffs[j] = solve_unit_box(gram, rhs);
-          refresh_values(active, j, basis);
+          active.coeffs[j] = solve_unit_box(normal, rhs);
+          refresh_values(active, j, fit.basis, samples);
         }
-        double num = 0.0;
-        double den = 0.0;
-        for (std::size_t g = 0; g < grid; ++g) {
-          decode(g);
-          const double product = term_product(active, idx, arity);
-          num += (target[g] - partial_model(t)) * product;
-          den += product * product;
-        }
-        active.weight = den > 0.0 ? std::max(0.0, num / den) : 0.0;
+        full_products(active);
+        const auto [num, den] = weight_moments();
+        set_weight(active, den > 0.0 ? std::max(0.0, num / den) : 0.0);
       }
+      residual_excluding(terms.size());
       double sq = 0.0;
-      for (std::size_t g = 0; g < grid; ++g) {
-        decode(g);
-        const double e = target[g] - partial_model(terms.size());
-        sq += e * e;
-      }
+      for (std::size_t g = 0; g < grid; ++g) sq += residual[g] * residual[g];
       if (prev_sq >= 0.0 && prev_sq - sq <= 1e-14 * (1.0 + sq)) break;
       prev_sq = sq;
     }
@@ -532,7 +640,8 @@ ProjectionResultN project_nd(
         // zero term so the program stays well-formed.
         AlsTerm zero;
         zero.coeffs.assign(arity, std::vector<double>(dim, 0.0));
-        zero.values.assign(arity, std::vector<double>(samples, 0.0));
+        zero.values.assign(arity * samples, 0.0);
+        zero.contrib.assign(grid, 0.0);
         terms.push_back(std::move(zero));
       }
       measure();

@@ -163,7 +163,10 @@ struct ProjectionResultN {
 /// a weighted Bernstein least squares solved onto the unit box, each
 /// weight a nonnegative 1-D least squares). Growth stops at
 /// target_max_error or the rank budget.
-/// \throws std::invalid_argument on invalid options or zero arity.
+/// The fit runs on the dense grid_samples^arity tensor grid, capped at
+/// 2^20 points.
+/// \throws std::invalid_argument on invalid options, zero arity or a grid
+///         beyond the point cap.
 [[nodiscard]] ProjectionResultN project_nd(
     const std::function<double(const std::vector<double>&)>& f,
     std::size_t arity, const ProjectionOptionsN& options = {});

@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <functional>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "compile/certify.hpp"
@@ -68,6 +70,71 @@ TEST(SeparableFitTest, RejectsInvalidOptionsAndArity) {
   zero_terms.max_terms = 0;
   EXPECT_THROW(project_nd(f, 1, zero_terms), std::invalid_argument);
   EXPECT_THROW(project_nd(f, 0, {}), std::invalid_argument);
+}
+
+TEST(SeparableFitTest, RejectsAGridBeyondThePointCap) {
+  // 16 samples over 16 axes is 2^64 points: the unchecked product wrapped
+  // to an empty grid and returned a zero program with target_met set.
+  const auto f = [](const std::vector<double>& p) { return p[0]; };
+  try {
+    (void)project_nd(f, 16, {});
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("arity 16"), std::string::npos) << message;
+    EXPECT_NE(message.find("grid_samples 16"), std::string::npos) << message;
+  }
+  // Past the 2^20-point cap without wrapping: 16^6, and 1025^2 (just
+  // over 2^20).
+  EXPECT_THROW((void)project_nd(f, 6, {}), std::invalid_argument);
+  ProjectionOptionsN dense;
+  dense.grid_samples = 1025;
+  EXPECT_THROW((void)project_nd(f, 2, dense), std::invalid_argument);
+  // A wide but coarse grid stays accepted.
+  ProjectionOptionsN coarse;
+  coarse.degree = 1;
+  coarse.grid_samples = 3;
+  coarse.max_terms = 1;
+  const ProjectionResultN wide = project_nd(f, 6, coarse);
+  EXPECT_EQ(wide.arity, 6u);
+  EXPECT_TRUE(wide.target_met);
+}
+
+TEST(SeparableFitTest, EveryBasisSizeReproducesThePinnedFit) {
+  // The factor normal equations have register-resident kernels for small
+  // bases and a generic one for the rest (degree >= 5 here); each must
+  // reproduce the original accumulation bit for bit. Pinned: rank, then
+  // max and L2 error in hex-float.
+  struct Case {
+    std::size_t degree;
+    std::size_t terms;
+    const char* max_error;
+    const char* l2_error;
+  };
+  const Case cases[] = {
+      {1, 2, "0x1.4509d4edd400cp-4", "0x1.1497ea4e5d55bp-5"},
+      {4, 2, "0x1.ac05be44b6e6p-7", "0x1.380c1b1fa8e58p-9"},
+      {5, 2, "0x1.374362fb95855p-3", "0x1.2e3ebeaa19044p-5"},
+      {7, 2, "0x1.108652085621ap-3", "0x1.f77f893233e2bp-6"},
+  };
+  const auto f = [](const std::vector<double>& p) {
+    return (p[0] + p[1] * p[1] + p[2] * p[0]) / 3.0;
+  };
+  for (const Case& c : cases) {
+    ProjectionOptionsN options;
+    options.degree = c.degree;
+    options.max_terms = 2;
+    options.grid_samples = 9;
+    options.target_max_error = 1e-6;
+    const ProjectionResultN r = project_nd(f, 3, options);
+    char max_error[40];
+    char l2_error[40];
+    std::snprintf(max_error, sizeof(max_error), "%a", r.max_error);
+    std::snprintf(l2_error, sizeof(l2_error), "%a", r.l2_error);
+    EXPECT_EQ(r.terms, c.terms) << "degree " << c.degree;
+    EXPECT_STREQ(max_error, c.max_error) << "degree " << c.degree;
+    EXPECT_STREQ(l2_error, c.l2_error) << "degree " << c.degree;
+  }
 }
 
 // -------------------------------------------------- arity-salted cache key
