@@ -26,6 +26,14 @@ obs::Histogram& cold_histogram() {
   return histogram;
 }
 
+obs::Histogram& project_histogram() {
+  static obs::Histogram& histogram = obs::Registry::global().histogram(
+      "oscs_compile_project_us",
+      "projection (least-squares fit) stage duration [microseconds]", {},
+      obs::Histogram::latency_us());
+  return histogram;
+}
+
 obs::Histogram& certify_histogram() {
   static obs::Histogram& histogram = obs::Registry::global().histogram(
       "oscs_compile_certify_us",
@@ -56,17 +64,26 @@ void certification_digest(Fnv1a& digest, const CompileOptions& options) {
 }
 
 /// The pipeline frame every arity shares: the cold-compile timer and the
-/// "compile" span around `build` (projection -> quantization -> codegen),
-/// then - when options.certify - the "certify" span and histogram around
-/// `certify_program`.
+/// "compile" span, inside it the "project" span and histogram around
+/// `project` (the fit), then `build` (quantization -> codegen) on its
+/// result, then - when options.certify - the "certify" span and histogram
+/// around `certify_program`.
+template <typename Project, typename Build>
 std::shared_ptr<const CompiledProgram> run_pipeline(
-    const CompileOptions& options,
-    const std::function<std::shared_ptr<CompiledProgram>()>& build,
+    const CompileOptions& options, const Project& project, const Build& build,
     const std::function<Certification(const CompiledProgram&)>&
         certify_program) {
   const auto t0 = std::chrono::steady_clock::now();
   obs::Span span(obs::current_trace(), "compile");
-  std::shared_ptr<CompiledProgram> program = build();
+  auto projection = [&] {
+    obs::Span project_span(obs::current_trace(), "project");
+    const auto t_project = std::chrono::steady_clock::now();
+    auto fit = project();
+    project_histogram().record(
+        us_between(t_project, std::chrono::steady_clock::now()));
+    return fit;
+  }();
+  std::shared_ptr<CompiledProgram> program = build(std::move(projection));
   if (options.certify) {
     obs::Span certify_span(obs::current_trace(), "certify");
     const auto t_certify = std::chrono::steady_clock::now();
@@ -134,8 +151,8 @@ std::shared_ptr<const CompiledProgram> compile_function(
     const CompileOptions& options) {
   return run_pipeline(
       options,
-      [&] {
-        ProjectionResult projection = project(f, options.projection);
+      [&] { return project(f, options.projection); },
+      [&](ProjectionResult projection) {
         QuantizationResult quantized =
             quantize(projection.poly, options.sng_width);
         return std::make_shared<CompiledProgram>(
@@ -189,8 +206,8 @@ std::shared_ptr<const CompiledProgram> compile_function2(
     const CompileOptions& options) {
   return run_pipeline(
       options,
-      [&] {
-        ProjectionResult2 projection = project2(f, options.projection2);
+      [&] { return project2(f, options.projection2); },
+      [&](ProjectionResult2 projection) {
         QuantizationResult2 quantized =
             quantize2(projection.poly, options.sng_width);
         return std::make_shared<CompiledProgram>(
@@ -242,9 +259,8 @@ std::shared_ptr<const CompiledProgram> compile_function_nd(
     const CompileOptions& options) {
   return run_pipeline(
       options,
-      [&] {
-        ProjectionResultN projection =
-            project_nd(f, arity, options.projection_nd);
+      [&] { return project_nd(f, arity, options.projection_nd); },
+      [&](ProjectionResultN projection) {
         // Per-factor quantization onto the shared SNG comparator grid,
         // then the program is rebuilt from the quantized factors (weights
         // fold arithmetically in the engine and stay unquantized).

@@ -2,10 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <functional>
+#include <latch>
 #include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "common/math.hpp"
+#include "stochastic/bernstein.hpp"
 
 namespace oscs {
 namespace {
@@ -52,6 +59,69 @@ TEST(IntegrateGl, SmoothTranscendentalFunctions) {
 
 TEST(IntegrateGl, RejectsZeroPointRule) {
   EXPECT_THROW(gauss_legendre(0), std::invalid_argument);
+  EXPECT_THROW((void)integrate_gl([](double x) { return x; }, 0.0, 1.0, 0),
+               std::invalid_argument);
+}
+
+/// integrate_gl with the rule built afresh by gauss_legendre: the
+/// memoized rule must reproduce this bit for bit.
+double integrate_uncached(const std::function<double(double)>& f, double a,
+                          double b, std::size_t n) {
+  const QuadratureRule rule = gauss_legendre(n);
+  const double half = 0.5 * (b - a);
+  const double mid = 0.5 * (a + b);
+  double sum = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    sum += rule.weights[i] * f(mid + half * rule.nodes[i]);
+  }
+  return half * sum;
+}
+
+TEST(IntegrateGl, ConcurrentCallsMatchASingleThreadedRunBitForBit) {
+  // Four threads race on rules no other test builds (cold memo slots),
+  // each walking the point counts in a different order and mixing in the
+  // nested tensor-product moments and one rule past the memoized range.
+  const std::vector<std::size_t> counts = {41, 43, 47, 53, 59, 61, 300};
+  const auto f = [](double x) { return std::exp(-x) * std::sin(3.0 * x); };
+  const auto f2 = [](double x, double y) { return std::sqrt(x * y + 0.1); };
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::vector<double>> integrals(kThreads);
+  std::vector<std::vector<double>> moments(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> workers;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (std::size_t k = 0; k < counts.size(); ++k) {
+        const std::size_t n = counts[(k + t * 3) % counts.size()];
+        integrals[t].push_back(integrate_gl(f, 0.0, 2.0, n));
+      }
+      moments[t] = stochastic::bernstein_moments2(f2, 2, 3, 37 + t % 2);
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
+
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    for (std::size_t k = 0; k < counts.size(); ++k) {
+      const std::size_t n = counts[(k + t * 3) % counts.size()];
+      const double single = integrate_gl(f, 0.0, 2.0, n);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(integrals[t][k]),
+                std::bit_cast<std::uint64_t>(single))
+          << "thread " << t << " n=" << n;
+      const double uncached = integrate_uncached(f, 0.0, 2.0, n);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(single),
+                std::bit_cast<std::uint64_t>(uncached))
+          << "n=" << n;
+    }
+    const std::vector<double> single =
+        stochastic::bernstein_moments2(f2, 2, 3, 37 + t % 2);
+    ASSERT_EQ(moments[t].size(), single.size());
+    for (std::size_t i = 0; i < single.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(moments[t][i]),
+                std::bit_cast<std::uint64_t>(single[i]))
+          << "thread " << t << " moment " << i;
+    }
+  }
 }
 
 TEST(IntegrateAdaptive, MatchesAnalyticValues) {

@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <stdexcept>
 #include <string>
 
 #include "compile/export.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "stochastic/resc.hpp"
 
 namespace oscs::compile {
@@ -290,6 +293,49 @@ TEST(CertifyTest, OptionValidation) {
   bad = CertificationOptions{};
   bad.grid_points = 0;
   EXPECT_THROW(bad.validate(), std::invalid_argument);
+}
+
+TEST(CompilePipelineObservability, OneColdCompileRecordsOneProjectSample) {
+  // The fit gets its own span (a child of "compile", like "certify") and
+  // one oscs_compile_project_us sample per cold compile; a cache hit
+  // records neither.
+  const obs::Histogram* histogram =
+      obs::Registry::global().find_histogram("oscs_compile_project_us");
+  const std::uint64_t before =
+      histogram == nullptr ? 0 : histogram->snapshot().count();
+
+  obs::Trace trace;
+  obs::TraceScope scope(&trace);
+  CompileOptions options;
+  options.certification.stream_length = 256;
+  options.certification.repeats = 1;
+  options.certification.grid_points = 3;
+  Compiler compiler(options);
+  (void)compiler.compile("square");
+  (void)compiler.compile("square");
+
+  histogram =
+      obs::Registry::global().find_histogram("oscs_compile_project_us");
+  ASSERT_NE(histogram, nullptr);
+  EXPECT_EQ(histogram->snapshot().count(), before + 1);
+
+  const auto& spans = trace.spans();
+  int compile_span = -1;
+  int project_count = 0;
+  int certify_parent = -2;
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    if (spans[i].name == "compile") compile_span = static_cast<int>(i);
+    if (spans[i].name == "certify") certify_parent = spans[i].parent;
+  }
+  ASSERT_GE(compile_span, 0);
+  for (const obs::Trace::SpanRecord& span : spans) {
+    if (span.name != "project") continue;
+    ++project_count;
+    EXPECT_EQ(span.parent, compile_span);
+    EXPECT_FALSE(span.open);
+  }
+  EXPECT_EQ(project_count, 1);
+  EXPECT_EQ(certify_parent, compile_span);
 }
 
 }  // namespace
