@@ -75,14 +75,12 @@ std::shared_ptr<const CompiledProgram> run_pipeline(
         certify_program) {
   const auto t0 = std::chrono::steady_clock::now();
   obs::Span span(obs::current_trace(), "compile");
-  auto projection = [&] {
-    obs::Span project_span(obs::current_trace(), "project");
-    const auto t_project = std::chrono::steady_clock::now();
-    auto fit = project();
-    project_histogram().record(
-        us_between(t_project, std::chrono::steady_clock::now()));
-    return fit;
-  }();
+  obs::Span project_span(obs::current_trace(), "project");
+  const auto t_project = std::chrono::steady_clock::now();
+  auto projection = project();
+  project_histogram().record(
+      us_between(t_project, std::chrono::steady_clock::now()));
+  project_span.end();
   std::shared_ptr<CompiledProgram> program = build(std::move(projection));
   if (options.certify) {
     obs::Span certify_span(obs::current_trace(), "certify");

@@ -323,10 +323,10 @@ void ProjectionOptionsN::validate() const {
 
 namespace {
 
-/// Fit grids larger than this are rejected before anything is allocated:
-/// the dense grid holds the target, the residual and one contribution per
-/// term at every point, and samples^arity wraps std::size_t well before
-/// the arity a caller could mistype stops looking plausible.
+/// Fit grids past this many points are rejected before anything is
+/// allocated: the fit keeps the target, the residual and one contribution
+/// per term at every point, and an unchecked samples^arity wraps
+/// std::size_t (16 samples over 16 axes wraps to 0).
 constexpr std::size_t kMaxFitGridPoints = std::size_t{1} << 20;
 
 /// Working state of one separable term during the ALS fit.
