@@ -525,31 +525,27 @@ ProjectionResultN project_nd(
       residual[g] = target[g] - residual[g];
     }
   };
-  // Full products of one term at every point (scratch for the weight
-  // solves) and its refreshed contribution once the weight is set.
+  // A term's weight solve: its full factor product at every point (kept
+  // for set_weight) and the numerator and denominator of its 1-D least
+  // squares against the current residual.
   std::vector<double> products(grid, 0.0);
-  const auto full_products = [&](const AlsTerm& term) {
+  const auto weight_moments = [&](const AlsTerm& term) {
+    double num = 0.0;
+    double den = 0.0;
     for (std::size_t g = 0; g < grid; ++g) {
-      products[g] =
+      const double product =
           term_product(term, &fit.coords[g * arity], arity, samples, arity);
+      products[g] = product;
+      num += residual[g] * product;
+      den += product * product;
     }
+    return std::pair<double, double>{num, den};
   };
   const auto set_weight = [&](AlsTerm& term, double weight) {
     term.weight = weight;
     for (std::size_t g = 0; g < grid; ++g) {
       term.contrib[g] = weight * products[g];
     }
-  };
-  // Numerator and denominator of the 1-D least-squares weight of the
-  // products against the current residual.
-  const auto weight_moments = [&] {
-    double num = 0.0;
-    double den = 0.0;
-    for (std::size_t g = 0; g < grid; ++g) {
-      num += residual[g] * products[g];
-      den += products[g] * products[g];
-    }
-    return std::pair<double, double>{num, den};
   };
 
   ProjectionResultN result;
@@ -585,8 +581,7 @@ ProjectionResultN project_nd(
     const std::size_t t_new = terms.size() - 1;
     {
       residual_excluding(t_new);
-      full_products(terms[t_new]);
-      const auto [num, den] = weight_moments();
+      const auto [num, den] = weight_moments(terms[t_new]);
       set_weight(terms[t_new], std::max(den > 0.0 ? num / den : 0.0, 1e-3));
     }
 
@@ -620,8 +615,7 @@ ProjectionResultN project_nd(
           active.coeffs[j] = solve_unit_box(normal, rhs);
           refresh_values(active, j, fit.basis, samples);
         }
-        full_products(active);
-        const auto [num, den] = weight_moments();
+        const auto [num, den] = weight_moments(active);
         set_weight(active, den > 0.0 ? std::max(0.0, num / den) : 0.0);
       }
       residual_excluding(terms.size());
