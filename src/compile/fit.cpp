@@ -386,7 +386,8 @@ struct FitGrid {
 /// the squared point weights p. The per-point order - pb = p * B[a],
 /// rhs[a] += r * pb, gram(a, b) += pb * p * B[b] - is the contract the
 /// projection goldens pin. A nonzero Dim fixes dim at compile time so the
-/// accumulators stay in registers; Dim == 0 serves any basis size.
+/// accumulators stay in registers; Dim == 0 accumulates into gram and rhs
+/// for any basis size.
 template <std::size_t Dim>
 double accumulate_factor_as(const AlsTerm& term, std::size_t axis,
                             const FitGrid& fit,
@@ -425,22 +426,16 @@ double accumulate_factor_as(const AlsTerm& term, std::size_t axis,
   return p_sq_sum;
 }
 
+/// Every N-ary registry entry fits degree-3 factors, so a 4-function basis
+/// gets the fixed kernel; every other size takes the generic one.
 double accumulate_factor(const AlsTerm& term, std::size_t axis,
                          const FitGrid& fit,
                          const std::vector<double>& residual, double* gram,
                          double* rhs) {
-  switch (fit.dim) {
-    case 2:
-      return accumulate_factor_as<2>(term, axis, fit, residual, gram, rhs);
-    case 3:
-      return accumulate_factor_as<3>(term, axis, fit, residual, gram, rhs);
-    case 4:
-      return accumulate_factor_as<4>(term, axis, fit, residual, gram, rhs);
-    case 5:
-      return accumulate_factor_as<5>(term, axis, fit, residual, gram, rhs);
-    default:
-      return accumulate_factor_as<0>(term, axis, fit, residual, gram, rhs);
+  if (fit.dim == 4) {
+    return accumulate_factor_as<4>(term, axis, fit, residual, gram, rhs);
   }
+  return accumulate_factor_as<0>(term, axis, fit, residual, gram, rhs);
 }
 
 }  // namespace

@@ -101,10 +101,11 @@ TEST(SeparableFitTest, RejectsAGridBeyondThePointCap) {
 }
 
 TEST(SeparableFitTest, EveryBasisSizeReproducesThePinnedFit) {
-  // The factor normal equations have register-resident kernels for small
-  // bases and a generic one for the rest (degree >= 5 here); each must
-  // reproduce the original accumulation bit for bit. Pinned: rank, then
-  // max and L2 error in hex-float.
+  // The factor normal equations have a register-resident kernel for the
+  // 4-function basis (degree 3, pinned by ProjectionGolden) and a generic
+  // one for every other size (all four degrees here); each must reproduce
+  // the original accumulation bit for bit. Pinned: rank, then max and L2
+  // error in hex-float.
   struct Case {
     std::size_t degree;
     std::size_t terms;
