@@ -81,11 +81,11 @@ int main() {
   bench::section("correlation hazard (why the LFSR source scrambles)");
   const sc::ReSCUnit unit(poly);
   const double x = 0.25;
-  sc::ScInputs good = sc::make_sc_inputs(x, poly.coeffs(), 3, 1 << 14);
+  sc::ScInputs good = sc::make_sc_inputs({x}, {poly.coeffs()}, {3}, 1 << 14);
   sc::ScInputs bad = good;
-  bad.x_streams[1] = bad.x_streams[0];
-  bad.x_streams[2] = bad.x_streams[0];
-  std::printf("  exact B(0.25) = %.4f\n", unit.exact_expectation(x));
+  bad.axes[0][1] = bad.axes[0][0];
+  bad.axes[0][2] = bad.axes[0][0];
+  std::printf("  exact B(0.25) = %.4f\n", unit.exact_expectation({x}));
   std::printf("  independent streams  -> %.4f\n", unit.evaluate(good));
   std::printf("  identical x streams  -> %.4f (collapses to "
               "(1-x) b0 + x b3 = %.4f)\n",

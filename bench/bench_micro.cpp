@@ -118,7 +118,7 @@ BENCHMARK(BM_TransientSimulator1kBits);
 void BM_ElectronicReSC1kBits(benchmark::State& state) {
   const sc::ReSCUnit unit(sc::paper_f2_bernstein());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(unit.evaluate(0.5, 1024, {}));
+    benchmark::DoNotOptimize(unit.evaluate({0.5}, 1024, {}));
   }
   state.SetItemsProcessed(state.iterations() * 1024);
 }

@@ -18,7 +18,6 @@
 #include "stochastic/bernstein.hpp"
 #include "stochastic/functions.hpp"
 #include "stochastic/metrics.hpp"
-#include "stochastic/resc.hpp"
 
 namespace sc = oscs::stochastic;
 namespace opt = oscs::optsc;
@@ -57,7 +56,6 @@ int main(int argc, char** argv) {
   // pipeline anyway).
   const std::size_t levels = 64;
   std::vector<double> lut_optical(levels), lut_electronic(levels);
-  const sc::ReSCUnit resc(poly);
   for (std::size_t i = 0; i < levels; ++i) {
     const double v =
         static_cast<double>(i) / static_cast<double>(levels - 1);

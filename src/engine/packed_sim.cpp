@@ -31,15 +31,6 @@ std::vector<const std::uint64_t*> word_pointers(
   return ptrs;
 }
 
-/// Borrowed per-program coefficient stream sets (no copies).
-std::vector<const std::vector<sc::Bitstream>*> stream_sets(
-    const std::vector<std::vector<sc::Bitstream>>& sets) {
-  std::vector<const std::vector<sc::Bitstream>*> ptrs;
-  ptrs.reserve(sets.size());
-  for (const std::vector<sc::Bitstream>& set : sets) ptrs.push_back(&set);
-  return ptrs;
-}
-
 /// One sampled receiver flip pattern as packed words.
 struct FlipMask {
   std::vector<std::uint64_t> words;  ///< empty when no flip was sampled
@@ -187,49 +178,12 @@ double PackedKernel::received_power_mw(std::uint32_t z_pattern,
 }
 
 std::vector<PackedKernel::Streams> PackedKernel::evaluate(
-    const std::vector<const std::vector<sc::Bitstream>*>& axes,
-    const std::vector<const std::vector<sc::Bitstream>*>& z_sets) const {
+    const sc::ScInputs& inputs) const {
+  const std::size_t length = inputs.check_shape(orders_);
   const std::size_t n_axes = orders_.size();
-  const std::size_t programs = z_sets.size();
+  const std::size_t programs = inputs.programs.size();
   std::size_t grid = 1;  // coefficient streams per program
   for (std::size_t order : orders_) grid *= order + 1;
-  if (axes.size() != n_axes || programs == 0) {
-    throw std::invalid_argument("PackedKernel: stimulus shape mismatch");
-  }
-  // Shape before length: with every order 0 the stream length comes from
-  // the first coefficient stream, so its presence must be validated
-  // before it is dereferenced.
-  for (std::size_t a = 0; a < n_axes; ++a) {
-    if (axes[a]->size() != orders_[a]) {
-      throw std::invalid_argument("PackedKernel: stimulus shape mismatch");
-    }
-  }
-  for (const std::vector<sc::Bitstream>* zs : z_sets) {
-    if (zs->size() != grid) {
-      throw std::invalid_argument("PackedKernel: stimulus shape mismatch");
-    }
-  }
-  std::size_t length = z_sets.front()->front().size();
-  for (const std::vector<sc::Bitstream>* bank : axes) {
-    if (!bank->empty()) {
-      length = bank->front().size();
-      break;
-    }
-  }
-  for (const std::vector<sc::Bitstream>* bank : axes) {
-    for (const sc::Bitstream& s : *bank) {
-      if (s.size() != length) {
-        throw std::invalid_argument("PackedKernel: ragged data streams");
-      }
-    }
-  }
-  for (const std::vector<sc::Bitstream>* zs : z_sets) {
-    for (const sc::Bitstream& s : *zs) {
-      if (s.size() != length) {
-        throw std::invalid_argument("PackedKernel: ragged z streams");
-      }
-    }
-  }
 
   const std::size_t nwords = (length + 63) / 64;
   std::vector<std::vector<std::uint64_t>> optical(
@@ -239,10 +193,12 @@ std::vector<PackedKernel::Streams> PackedKernel::evaluate(
 
   const simd::KernelOps& ops = simd::kernel_ops();
   std::vector<std::vector<const std::uint64_t*>> aw(n_axes);
-  for (std::size_t a = 0; a < n_axes; ++a) aw[a] = word_pointers(*axes[a]);
+  for (std::size_t a = 0; a < n_axes; ++a) {
+    aw[a] = word_pointers(inputs.axes[a]);
+  }
   std::vector<std::vector<const std::uint64_t*>> zw(programs);
   for (std::size_t prog = 0; prog < programs; ++prog) {
-    zw[prog] = word_pointers(*z_sets[prog]);
+    zw[prog] = word_pointers(inputs.programs[prog]);
   }
 
   // Plane-major block scratch: entry (j, i) at j*kBlockWords + i. One
@@ -399,20 +355,8 @@ std::vector<PackedRunResult> PackedKernel::run_fused(
   }
   const sc::ScInputConfig sng{config.source_kind, config.op.sng_width,
                               config.stimulus_seed};
-  const std::size_t length = config.op.stream_length;
-  // Dense forms exist for one and two axes; the SNG layer owns each
-  // stimulus layout (program 0 bit-identical to the unfused stimulus).
-  std::vector<Streams> streams;
-  if (orders_.size() == 1) {
-    const sc::FusedScInputs in =
-        sc::make_fused_sc_inputs(point[0], coeffs, orders_[0], length, sng);
-    streams = evaluate({&in.x_streams}, stream_sets(in.z_streams));
-  } else {
-    const sc::FusedScInputs2 in = sc::make_fused_sc_inputs2(
-        point[0], point[1], coeffs, orders_[0], orders_[1], length, sng);
-    streams =
-        evaluate({&in.x_streams, &in.y_streams}, stream_sets(in.z_streams));
-  }
+  std::vector<Streams> streams = evaluate(sc::make_sc_inputs(
+      point, coeffs, orders_, config.op.stream_length, sng));
 
   // One flip-mask pass: positions are sampled once at the operating
   // point's BER and applied to every program's decision stream. Marginal
@@ -428,7 +372,7 @@ std::vector<PackedRunResult> PackedKernel::run_fused(
                       mask.words.size());
     }
     PackedRunResult& r = results[prog];
-    r.length = length;
+    r.length = config.op.stream_length;
     r.noise_flips = mask.flips;
     r.optical_estimate = s.optical.probability();
     r.electronic_estimate = s.electronic.probability();
@@ -498,12 +442,14 @@ PackedRunResult PackedKernel::run_nd(const sc::SeparableProgram& program,
     std::vector<std::uint64_t> optical(nwords, ~std::uint64_t{0});
     std::vector<std::uint64_t> electronic(nwords, ~std::uint64_t{0});
     for (const sc::SeparableFactor& factor : term.factors) {
-      const sc::ScInputs inputs = sc::make_sc_inputs(
-          point[factor.axis], factor.poly.coeffs(), order(), length,
-          {config.source_kind, config.op.sng_width,
-           derive_factor_seed(config.stimulus_seed, factor_index)});
       Streams streams = std::move(
-          evaluate({&inputs.x_streams}, {&inputs.z_streams}).front());
+          evaluate(sc::make_sc_inputs(
+                       {point[factor.axis]}, {factor.poly.coeffs()}, orders_,
+                       length,
+                       {config.source_kind, config.op.sng_width,
+                        derive_factor_seed(config.stimulus_seed,
+                                           factor_index)}))
+              .front());
       // Per-factor receiver noise: each factor stream is its own optical
       // evaluation, so each gets its own Eq. 9 flip mask.
       const FlipMask mask = sample_flip_mask(

@@ -148,18 +148,17 @@ class PackedKernel {
     stochastic::Bitstream electronic;  ///< ideal MUX output (ReSC baseline)
   };
 
-  /// Fused noiseless pass: K programs on shared data streams. `axes[a]`
-  /// holds axis a's orders()[a] data streams; `programs[k]` holds program
-  /// k's row-major coefficient streams. The adder bit-planes and select
-  /// masks are computed once per axis per word block and reused by every
-  /// program. Returns one Streams per program; a one-axis pass is
-  /// bit-identical to ReSCUnit::output_stream, a two-axis pass to
-  /// ReSC2Unit::output_stream on the same stimulus.
-  /// \throws std::invalid_argument on stimulus shape mismatch.
+  /// Fused noiseless pass: every program of `inputs` on its shared data
+  /// banks (inputs.axes[a] holds axis a's orders()[a] data streams). The
+  /// adder bit-planes and select masks are computed once per axis per word
+  /// block and reused by every program. Returns one Streams per program;
+  /// each electronic stream is bit-identical to
+  /// stochastic::ReSCUnit::output_stream on the same stimulus, at any
+  /// arity.
+  /// \throws std::invalid_argument on stimulus shape mismatch
+  ///         (ScInputs::check_shape).
   [[nodiscard]] std::vector<Streams> evaluate(
-      const std::vector<const std::vector<stochastic::Bitstream>*>& axes,
-      const std::vector<const std::vector<stochastic::Bitstream>*>& programs)
-      const;
+      const stochastic::ScInputs& inputs) const;
 
   /// \throws std::invalid_argument unless `program` runs on this kernel: a
   ///         dense program whose per-axis degrees equal orders(), or a

@@ -70,7 +70,9 @@ SimulationResult TransientSimulator::run_per_bit(
     const SimulationConfig& config) const {
   const std::size_t n = circuit_->order();
   const sc::ScInputs inputs = sc::make_sc_inputs(
-      x, poly.coeffs(), n, config.stream_length, config.stimulus);
+      {x}, {poly.coeffs()}, {n}, config.stream_length, config.stimulus);
+  const std::vector<sc::Bitstream>& x_streams = inputs.axes[0];
+  const std::vector<sc::Bitstream>& z_streams = inputs.programs[0];
   const sc::ReSCUnit electronic(poly);
   const sc::Bitstream electronic_out = electronic.output_stream(inputs);
 
@@ -82,8 +84,8 @@ SimulationResult TransientSimulator::run_per_bit(
   std::size_t ones = 0;
   std::size_t flips = 0;
   for (std::size_t t = 0; t < config.stream_length; ++t) {
-    for (std::size_t i = 0; i < n; ++i) xbits[i] = inputs.x_streams[i].bit(t);
-    for (std::size_t j = 0; j <= n; ++j) z[j] = inputs.z_streams[j].bit(t);
+    for (std::size_t i = 0; i < n; ++i) xbits[i] = x_streams[i].bit(t);
+    for (std::size_t j = 0; j <= n; ++j) z[j] = z_streams[j].bit(t);
 
     const double received_mw =
         circuit_->received_power_mw(z, xbits, probe_mw);

@@ -5,216 +5,190 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "stochastic/bernstein.hpp"
 #include "stochastic/wordops.hpp"
 
 namespace oscs::stochastic {
 
-std::size_t ScInputs::select(std::size_t t) const {
+namespace {
+
+/// Step a row-major grid index (last axis fastest) to the next cell.
+void next_cell(std::vector<std::size_t>& index,
+               const std::vector<std::size_t>& orders) {
+  for (std::size_t a = index.size(); a-- > 0;) {
+    if (++index[a] <= orders[a]) return;
+    index[a] = 0;
+  }
+}
+
+}  // namespace
+
+std::vector<std::size_t> ScInputs::orders() const {
+  std::vector<std::size_t> out;
+  out.reserve(axes.size());
+  for (const std::vector<Bitstream>& bank : axes) out.push_back(bank.size());
+  return out;
+}
+
+std::size_t ScInputs::length() const noexcept {
+  for (const std::vector<Bitstream>& bank : axes) {
+    if (!bank.empty()) return bank.front().size();
+  }
+  if (programs.empty() || programs.front().empty()) return 0;
+  return programs.front().front().size();
+}
+
+std::size_t ScInputs::select(std::size_t axis, std::size_t t) const {
   std::size_t k = 0;
-  for (const auto& xs : x_streams) k += xs.bit(t) ? 1 : 0;
+  for (const Bitstream& s : axes.at(axis)) k += s.bit(t) ? 1 : 0;
   return k;
 }
 
-ScInputs make_sc_inputs(double x, const std::vector<double>& coeffs,
-                        std::size_t order, std::size_t length,
-                        const ScInputConfig& config) {
-  if (coeffs.size() != order + 1) {
-    throw std::invalid_argument(
-        "make_sc_inputs: need order+1 coefficients, got " +
-        std::to_string(coeffs.size()));
+std::size_t ScInputs::check_shape(
+    const std::vector<std::size_t>& orders) const {
+  // Shape before length: with every order 0 the stream length comes from
+  // the first coefficient stream, so its presence must be validated
+  // before it is read.
+  if (axes.size() != orders.size() || programs.empty()) {
+    throw std::invalid_argument("ScInputs: stimulus shape mismatch");
   }
-  ScInputs inputs;
-  inputs.x_streams.reserve(order);
-  inputs.z_streams.reserve(order + 1);
-  std::uint64_t salt = config.seed * 2u + 1u;
-  for (std::size_t i = 0; i < order; ++i) {
-    Sng sng(make_source(config.kind, config.width, salt++));
-    inputs.x_streams.push_back(sng.generate(x, length));
+  std::size_t grid = 1;
+  for (std::size_t a = 0; a < orders.size(); ++a) {
+    if (axes[a].size() != orders[a]) {
+      throw std::invalid_argument("ScInputs: stimulus order mismatch");
+    }
+    grid *= orders[a] + 1;
   }
-  for (std::size_t j = 0; j <= order; ++j) {
-    Sng sng(make_source(config.kind, config.width, salt++));
-    inputs.z_streams.push_back(sng.generate(coeffs[j], length));
-  }
-  return inputs;
-}
-
-ScInputs FusedScInputs::program(std::size_t k) const {
-  if (k >= z_streams.size()) {
-    throw std::out_of_range("FusedScInputs::program: index out of range");
-  }
-  return ScInputs{x_streams, z_streams[k]};
-}
-
-FusedScInputs make_fused_sc_inputs(double x,
-                                   const std::vector<std::vector<double>>& coeffs,
-                                   std::size_t order, std::size_t length,
-                                   const ScInputConfig& config) {
-  if (coeffs.empty()) {
-    throw std::invalid_argument("make_fused_sc_inputs: no programs");
-  }
-  for (const std::vector<double>& c : coeffs) {
-    if (c.size() != order + 1) {
+  for (const std::vector<Bitstream>& zs : programs) {
+    if (zs.size() != grid) {
       throw std::invalid_argument(
-          "make_fused_sc_inputs: need order+1 coefficients per program, got " +
-          std::to_string(c.size()));
+          "ScInputs: coefficient stream count mismatch");
     }
   }
-  FusedScInputs inputs;
-  inputs.x_streams.reserve(order);
-  inputs.z_streams.resize(coeffs.size());
-  // Salt sequence matches make_sc_inputs for the x streams and program 0's
-  // z streams, so a one-program fused stimulus is bit-identical to the
-  // unfused one; further programs keep drawing fresh salts.
-  std::uint64_t salt = config.seed * 2u + 1u;
-  for (std::size_t i = 0; i < order; ++i) {
-    Sng sng(make_source(config.kind, config.width, salt++));
-    inputs.x_streams.push_back(sng.generate(x, length));
-  }
-  for (std::size_t k = 0; k < coeffs.size(); ++k) {
-    inputs.z_streams[k].reserve(order + 1);
-    for (std::size_t j = 0; j <= order; ++j) {
-      Sng sng(make_source(config.kind, config.width, salt++));
-      inputs.z_streams[k].push_back(sng.generate(coeffs[k][j], length));
+  // A shorter stream can share the word count of the others, so the
+  // word-parallel MUX would silently read its zero padding as data.
+  const std::size_t n = length();
+  for (const std::vector<Bitstream>& bank : axes) {
+    for (const Bitstream& s : bank) {
+      if (s.size() != n) {
+        throw std::invalid_argument("ScInputs: ragged data streams");
+      }
     }
   }
-  return inputs;
+  for (const std::vector<Bitstream>& zs : programs) {
+    for (const Bitstream& s : zs) {
+      if (s.size() != n) {
+        throw std::invalid_argument("ScInputs: ragged coefficient streams");
+      }
+    }
+  }
+  return n;
 }
 
-std::size_t ScInputs2::select_x(std::size_t t) const {
-  std::size_t k = 0;
-  for (const auto& xs : x_streams) k += xs.bit(t) ? 1 : 0;
-  return k;
-}
-
-std::size_t ScInputs2::select_y(std::size_t t) const {
-  std::size_t k = 0;
-  for (const auto& ys : y_streams) k += ys.bit(t) ? 1 : 0;
-  return k;
-}
-
-ScInputs2 make_sc_inputs2(double x, double y,
-                          const std::vector<double>& coeffs,
-                          std::size_t order_x, std::size_t order_y,
-                          std::size_t length, const ScInputConfig& config) {
-  if (coeffs.size() != (order_x + 1) * (order_y + 1)) {
-    throw std::invalid_argument(
-        "make_sc_inputs2: need (order_x+1)*(order_y+1) coefficients, got " +
-        std::to_string(coeffs.size()));
-  }
-  ScInputs2 inputs;
-  inputs.x_streams.reserve(order_x);
-  inputs.y_streams.reserve(order_y);
-  inputs.z_streams.reserve(coeffs.size());
-  // Salt sequence: x bank, then y bank, then the coefficient grid
-  // row-major - mirrored exactly by make_fused_sc_inputs2 program 0.
-  std::uint64_t salt = config.seed * 2u + 1u;
-  for (std::size_t i = 0; i < order_x; ++i) {
-    Sng sng(make_source(config.kind, config.width, salt++));
-    inputs.x_streams.push_back(sng.generate(x, length));
-  }
-  for (std::size_t j = 0; j < order_y; ++j) {
-    Sng sng(make_source(config.kind, config.width, salt++));
-    inputs.y_streams.push_back(sng.generate(y, length));
-  }
-  for (double c : coeffs) {
-    Sng sng(make_source(config.kind, config.width, salt++));
-    inputs.z_streams.push_back(sng.generate(c, length));
-  }
-  return inputs;
-}
-
-ScInputs2 FusedScInputs2::program(std::size_t k) const {
-  if (k >= z_streams.size()) {
-    throw std::out_of_range("FusedScInputs2::program: index out of range");
-  }
-  return ScInputs2{x_streams, y_streams, z_streams[k]};
-}
-
-FusedScInputs2 make_fused_sc_inputs2(
-    double x, double y, const std::vector<std::vector<double>>& coeffs,
-    std::size_t order_x, std::size_t order_y, std::size_t length,
+ScInputs make_sc_inputs(
+    const std::vector<double>& point,
+    const std::vector<std::vector<double>>& coeffs_per_program,
+    const std::vector<std::size_t>& orders, std::size_t length,
     const ScInputConfig& config) {
-  if (coeffs.empty()) {
-    throw std::invalid_argument("make_fused_sc_inputs2: no programs");
+  if (point.size() != orders.size()) {
+    throw std::invalid_argument(
+        "make_sc_inputs: need one coordinate per axis, got " +
+        std::to_string(point.size()) + " for " +
+        std::to_string(orders.size()) + " axes");
   }
-  for (const std::vector<double>& c : coeffs) {
-    if (c.size() != (order_x + 1) * (order_y + 1)) {
+  if (coeffs_per_program.empty()) {
+    throw std::invalid_argument("make_sc_inputs: no programs");
+  }
+  std::size_t grid = 1;
+  for (std::size_t order : orders) grid *= order + 1;
+  for (const std::vector<double>& c : coeffs_per_program) {
+    if (c.size() != grid) {
       throw std::invalid_argument(
-          "make_fused_sc_inputs2: need (order_x+1)*(order_y+1) coefficients "
-          "per program, got " +
-          std::to_string(c.size()));
+          "make_sc_inputs: need prod(order+1) = " + std::to_string(grid) +
+          " coefficients per program, got " + std::to_string(c.size()));
     }
   }
-  FusedScInputs2 inputs;
-  inputs.x_streams.reserve(order_x);
-  inputs.y_streams.reserve(order_y);
-  inputs.z_streams.resize(coeffs.size());
-  // Salt sequence matches make_sc_inputs2 for the shared banks and
-  // program 0's grid, so a one-program fused stimulus is bit-identical to
-  // the unfused one; further programs keep drawing fresh salts.
+  // Salt sequence: each data bank in axis order, then each program's grid
+  // row-major - so program 0 of a fused stimulus is bit-identical to the
+  // one-program stimulus and later programs draw fresh salts.
   std::uint64_t salt = config.seed * 2u + 1u;
-  for (std::size_t i = 0; i < order_x; ++i) {
+  auto encode = [&](double p) {
     Sng sng(make_source(config.kind, config.width, salt++));
-    inputs.x_streams.push_back(sng.generate(x, length));
+    return sng.generate(p, length);
+  };
+  ScInputs inputs;
+  inputs.axes.resize(orders.size());
+  for (std::size_t a = 0; a < orders.size(); ++a) {
+    inputs.axes[a].reserve(orders[a]);
+    for (std::size_t i = 0; i < orders[a]; ++i) {
+      inputs.axes[a].push_back(encode(point[a]));
+    }
   }
-  for (std::size_t j = 0; j < order_y; ++j) {
-    Sng sng(make_source(config.kind, config.width, salt++));
-    inputs.y_streams.push_back(sng.generate(y, length));
-  }
-  for (std::size_t k = 0; k < coeffs.size(); ++k) {
-    inputs.z_streams[k].reserve(coeffs[k].size());
-    for (double c : coeffs[k]) {
-      Sng sng(make_source(config.kind, config.width, salt++));
-      inputs.z_streams[k].push_back(sng.generate(c, length));
+  inputs.programs.resize(coeffs_per_program.size());
+  for (std::size_t k = 0; k < coeffs_per_program.size(); ++k) {
+    inputs.programs[k].reserve(grid);
+    for (double c : coeffs_per_program[k]) {
+      inputs.programs[k].push_back(encode(c));
     }
   }
   return inputs;
 }
 
-ReSCUnit::ReSCUnit(BernsteinPoly poly) : poly_(std::move(poly)) {
-  if (!poly_.is_sc_compatible(1e-9)) {
-    throw std::invalid_argument(
-        "ReSCUnit: Bernstein coefficients must lie in [0, 1] for a "
-        "stochastic implementation");
+ReSCUnit::ReSCUnit(std::vector<std::size_t> orders, std::vector<double> coeffs)
+    : orders_(std::move(orders)), coeffs_(std::move(coeffs)) {
+  for (double c : coeffs_) {
+    if (c < -1e-9 || c > 1.0 + 1e-9) {
+      throw std::invalid_argument(
+          "ReSCUnit: Bernstein coefficients must lie in [0, 1] for a "
+          "stochastic implementation");
+    }
   }
 }
 
-Bitstream ReSCUnit::output_stream(const ScInputs& inputs) const {
-  if (inputs.order() != order()) {
-    throw std::invalid_argument("ReSCUnit: stimulus order mismatch");
+ReSCUnit::ReSCUnit(const BernsteinPoly& poly)
+    : ReSCUnit({poly.degree()}, poly.coeffs()) {}
+
+ReSCUnit::ReSCUnit(const BernsteinPoly2& poly)
+    : ReSCUnit({poly.deg_x(), poly.deg_y()}, poly.coeffs()) {}
+
+Bitstream ReSCUnit::output_stream(const ScInputs& inputs,
+                                  std::size_t program) const {
+  const std::size_t n_cycles = inputs.check_shape(orders_);
+  if (program >= inputs.programs.size()) {
+    throw std::out_of_range("ReSCUnit: program index out of range");
   }
-  if (inputs.z_streams.size() != order() + 1) {
-    throw std::invalid_argument("ReSCUnit: coefficient stream count mismatch");
-  }
-  const std::size_t n = order();
-  const std::size_t n_cycles = inputs.length();
-  for (const Bitstream& s : inputs.x_streams) {
-    if (s.size() != n_cycles) {
-      throw std::invalid_argument("ReSCUnit: ragged x streams");
-    }
-  }
-  for (const Bitstream& s : inputs.z_streams) {
-    if (s.size() != n_cycles) {
-      throw std::invalid_argument("ReSCUnit: ragged z streams");
-    }
-  }
-  // Word-parallel adder + MUX: a carry-save accumulation over the packed x
-  // words leaves bit j of the per-lane ones count in plane j; bitwise
-  // equality against each k then selects 64 coefficient bits at a time.
-  const std::size_t planes_needed =
-      static_cast<std::size_t>(std::bit_width(n));
-  std::vector<std::uint64_t> planes(planes_needed, 0);
+  const std::vector<Bitstream>& z = inputs.programs[program];
+  const std::size_t n_axes = orders_.size();
+  // Word-parallel adders + MUX: per axis, a carry-save accumulation over
+  // the packed data words leaves bit j of the per-lane ones count in plane
+  // j, and bitwise equality against each index gives that axis's select
+  // masks. Grid cell g's select is the AND of one mask per axis; it routes
+  // 64 coefficient bits at a time.
+  std::vector<std::vector<std::uint64_t>> sel(n_axes);
+  for (std::size_t a = 0; a < n_axes; ++a) sel[a].resize(orders_[a] + 1);
+  std::vector<std::uint64_t> planes;
+  std::vector<std::size_t> index(n_axes);
   const std::size_t n_words = (n_cycles + 63) / 64;
   std::vector<std::uint64_t> out_words(n_words, 0);
   for (std::size_t w = 0; w < n_words; ++w) {
-    std::fill(planes.begin(), planes.end(), 0);
-    accumulate_count_planes(inputs.x_streams, w, planes.data(), planes_needed);
+    for (std::size_t a = 0; a < n_axes; ++a) {
+      const auto plane_count =
+          static_cast<std::size_t>(std::bit_width(orders_[a]));
+      planes.assign(plane_count, 0);
+      accumulate_count_planes(inputs.axes[a], w, planes.data(), plane_count);
+      for (std::size_t i = 0; i <= orders_[a]; ++i) {
+        sel[a][i] = count_equals_mask(planes.data(), plane_count, i);
+      }
+    }
     std::uint64_t out = 0;
-    for (std::size_t k = 0; k <= n; ++k) {
-      out |= count_equals_mask(planes.data(), planes_needed, k) &
-             inputs.z_streams[k].word(w);
+    std::fill(index.begin(), index.end(), 0);
+    for (const Bitstream& zg : z) {
+      std::uint64_t s = ~std::uint64_t{0};
+      for (std::size_t a = 0; a < n_axes; ++a) s &= sel[a][index[a]];
+      out |= s & zg.word(w);
+      next_cell(index, orders_);
     }
     out_words[w] = out;
   }
@@ -225,108 +199,26 @@ double ReSCUnit::evaluate(const ScInputs& inputs) const {
   return output_stream(inputs).probability();
 }
 
-double ReSCUnit::evaluate(double x, std::size_t length,
+double ReSCUnit::evaluate(const std::vector<double>& point,
+                          std::size_t length,
                           const ScInputConfig& config) const {
-  const ScInputs inputs =
-      make_sc_inputs(x, poly_.coeffs(), order(), length, config);
-  return evaluate(inputs);
+  return evaluate(make_sc_inputs(point, {coeffs_}, orders_, length, config));
 }
 
-double ReSCUnit::exact_expectation(double x) const {
-  const std::size_t n = order();
+double ReSCUnit::exact_expectation(const std::vector<double>& point) const {
+  const std::size_t n_axes = orders_.size();
+  if (point.size() != n_axes) {
+    throw std::invalid_argument("ReSCUnit: point arity mismatch");
+  }
+  std::vector<std::size_t> index(n_axes, 0);
   double s = 0.0;
-  for (std::size_t k = 0; k <= n; ++k) {
-    s += poly_.coeffs()[k] * bernstein_basis(k, n, x);
-  }
-  return s;
-}
-
-ReSC2Unit::ReSC2Unit(BernsteinPoly2 poly) : poly_(std::move(poly)) {
-  if (!poly_.is_sc_compatible(1e-9)) {
-    throw std::invalid_argument(
-        "ReSC2Unit: Bernstein coefficients must lie in [0, 1] for a "
-        "stochastic implementation");
-  }
-}
-
-Bitstream ReSC2Unit::output_stream(const ScInputs2& inputs) const {
-  const std::size_t n = order_x();
-  const std::size_t m = order_y();
-  if (inputs.order_x() != n || inputs.order_y() != m) {
-    throw std::invalid_argument("ReSC2Unit: stimulus order mismatch");
-  }
-  if (inputs.z_streams.size() != (n + 1) * (m + 1)) {
-    throw std::invalid_argument(
-        "ReSC2Unit: coefficient stream count mismatch");
-  }
-  const std::size_t n_cycles = inputs.length();
-  for (const Bitstream& s : inputs.x_streams) {
-    if (s.size() != n_cycles) {
-      throw std::invalid_argument("ReSC2Unit: ragged x streams");
+  for (double c : coeffs_) {
+    double basis = 1.0;
+    for (std::size_t a = 0; a < n_axes; ++a) {
+      basis *= bernstein_basis(index[a], orders_[a], point[a]);
     }
-  }
-  for (const Bitstream& s : inputs.y_streams) {
-    if (s.size() != n_cycles) {
-      throw std::invalid_argument("ReSC2Unit: ragged y streams");
-    }
-  }
-  for (const Bitstream& s : inputs.z_streams) {
-    if (s.size() != n_cycles) {
-      throw std::invalid_argument("ReSC2Unit: ragged z streams");
-    }
-  }
-  // Two word-parallel adders (one carry-save bit-plane accumulation per
-  // input bank), then the 2D MUX: the (i, j) select mask is the AND of
-  // the per-axis equality masks and routes 64 coefficient bits at a time.
-  const std::size_t planes_x = static_cast<std::size_t>(std::bit_width(n));
-  const std::size_t planes_y = static_cast<std::size_t>(std::bit_width(m));
-  std::vector<std::uint64_t> px(planes_x, 0);
-  std::vector<std::uint64_t> py(planes_y, 0);
-  std::vector<std::uint64_t> sel_y(m + 1, 0);
-  const std::size_t n_words = (n_cycles + 63) / 64;
-  std::vector<std::uint64_t> out_words(n_words, 0);
-  for (std::size_t w = 0; w < n_words; ++w) {
-    std::fill(px.begin(), px.end(), 0);
-    std::fill(py.begin(), py.end(), 0);
-    accumulate_count_planes(inputs.x_streams, w, px.data(), planes_x);
-    accumulate_count_planes(inputs.y_streams, w, py.data(), planes_y);
-    for (std::size_t j = 0; j <= m; ++j) {
-      sel_y[j] = count_equals_mask(py.data(), planes_y, j);
-    }
-    std::uint64_t out = 0;
-    for (std::size_t i = 0; i <= n; ++i) {
-      const std::uint64_t sx = count_equals_mask(px.data(), planes_x, i);
-      if (sx == 0) continue;
-      for (std::size_t j = 0; j <= m; ++j) {
-        const std::uint64_t sel = sx & sel_y[j];
-        if (sel == 0) continue;
-        out |= sel & inputs.z_streams[i * (m + 1) + j].word(w);
-      }
-    }
-    out_words[w] = out;
-  }
-  return Bitstream::from_words(std::move(out_words), n_cycles);
-}
-
-double ReSC2Unit::evaluate(const ScInputs2& inputs) const {
-  return output_stream(inputs).probability();
-}
-
-double ReSC2Unit::evaluate(double x, double y, std::size_t length,
-                           const ScInputConfig& config) const {
-  const ScInputs2 inputs = make_sc_inputs2(x, y, poly_.coeffs(), order_x(),
-                                           order_y(), length, config);
-  return evaluate(inputs);
-}
-
-double ReSC2Unit::exact_expectation(double x, double y) const {
-  const std::size_t n = order_x();
-  const std::size_t m = order_y();
-  double s = 0.0;
-  for (std::size_t i = 0; i <= n; ++i) {
-    for (std::size_t j = 0; j <= m; ++j) {
-      s += poly_.coeff(i, j) * bernstein_basis2(i, j, n, m, x, y);
-    }
+    s += c * basis;
+    next_cell(index, orders_);
   }
   return s;
 }

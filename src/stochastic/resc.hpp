@@ -4,7 +4,8 @@
 ///        baseline architecture the optical circuit transposes. n SNGs
 ///        encode the input x, n+1 SNGs encode the Bernstein coefficients,
 ///        an adder counts the ones among the x bits and selects one
-///        coefficient stream through a MUX; a counter de-randomizes.
+///        coefficient stream through a MUX; a counter de-randomizes. A
+///        multi-input unit is the same MUX with one adder per input.
 
 #include <cstdint>
 #include <vector>
@@ -15,23 +16,32 @@
 
 namespace oscs::stochastic {
 
-/// The per-cycle stimulus shared by the electronic baseline and the
-/// optical simulator: data streams x_1..x_n and coefficient streams
-/// z_0..z_n, all of equal length.
+/// The per-cycle stimulus shared by the electronic baseline, the optical
+/// simulator and the packed engine, for any number of input axes and any
+/// number of programs fused onto one circuit. Axis a carries orders[a]
+/// independent encodings of input a (its adder's inputs); each program
+/// carries prod_a (orders[a] + 1) coefficient streams in row-major order
+/// (last axis fastest: stream i*(m+1)+j is c_{i,j} on two axes). The data
+/// banks are shared by every program. Any order may be zero (that adder
+/// has no inputs and always selects index 0).
 struct ScInputs {
-  std::vector<Bitstream> x_streams;  ///< n independent encodings of x
-  std::vector<Bitstream> z_streams;  ///< stream j encodes coefficient b_j
+  std::vector<std::vector<Bitstream>> axes;      ///< axes[a]: data streams
+  std::vector<std::vector<Bitstream>> programs;  ///< programs[k]: grid
 
-  [[nodiscard]] std::size_t order() const noexcept { return x_streams.size(); }
-  /// Stream length; for an order-0 stimulus (no data streams) the
-  /// coefficient streams define it.
-  [[nodiscard]] std::size_t length() const noexcept {
-    if (!x_streams.empty()) return x_streams.front().size();
-    return z_streams.empty() ? 0 : z_streams.front().size();
-  }
-  /// Number of ones among the x bits at cycle t (the adder output, which
-  /// selects coefficient k).
-  [[nodiscard]] std::size_t select(std::size_t t) const;
+  /// Per-axis orders (data streams per axis).
+  [[nodiscard]] std::vector<std::size_t> orders() const;
+  /// Stream length: the first non-empty data bank's, else the first
+  /// coefficient stream's (0 for an empty stimulus).
+  [[nodiscard]] std::size_t length() const noexcept;
+  /// Ones among axis `axis`'s data bits at cycle t - that axis's adder
+  /// output, which selects its coefficient index.
+  [[nodiscard]] std::size_t select(std::size_t axis, std::size_t t) const;
+  /// Validate the stimulus for a MUX over per-axis select ranges `orders`:
+  /// one data bank per axis with orders[a] streams, at least one program,
+  /// each with prod_a (orders[a] + 1) coefficient streams, every stream of
+  /// one length. Returns that length.
+  /// \throws std::invalid_argument on a shape or length mismatch.
+  std::size_t check_shape(const std::vector<std::size_t>& orders) const;
 };
 
 /// Configuration for stimulus generation.
@@ -41,193 +51,70 @@ struct ScInputConfig {
   std::uint64_t seed = 1;     ///< base seed; streams are decorrelated per-index
 };
 
-/// Generate the shared stimulus for evaluating a Bernstein polynomial of
-/// order `order` at input `x` with the given coefficients.
-/// \throws std::invalid_argument if coeffs.size() != order + 1.
-[[nodiscard]] ScInputs make_sc_inputs(double x,
-                                      const std::vector<double>& coeffs,
-                                      std::size_t order, std::size_t length,
-                                      const ScInputConfig& config = {});
-
-/// Stimulus for K programs fused onto one circuit: the n data streams are
-/// generated once and shared by every program; only the K * (n+1)
-/// coefficient streams are per-program. This is where the fused engine
-/// mode gets its stimulus amortization from.
-struct FusedScInputs {
-  std::vector<Bitstream> x_streams;  ///< n shared encodings of x
-  /// z_streams[k][j] encodes coefficient b_j of program k.
-  std::vector<std::vector<Bitstream>> z_streams;
-
-  [[nodiscard]] std::size_t order() const noexcept { return x_streams.size(); }
-  [[nodiscard]] std::size_t programs() const noexcept {
-    return z_streams.size();
-  }
-  [[nodiscard]] std::size_t length() const noexcept {
-    if (!x_streams.empty()) return x_streams.front().size();
-    if (z_streams.empty() || z_streams.front().empty()) return 0;
-    return z_streams.front().front().size();
-  }
-
-  /// View of program k as a single-program stimulus (copies streams).
-  /// \throws std::out_of_range on a bad program index.
-  [[nodiscard]] ScInputs program(std::size_t k) const;
-};
-
-/// Generate fused stimulus for K coefficient vectors sharing one input x.
-/// Program 0 receives exactly the streams make_sc_inputs would generate
-/// from the same config (bit-for-bit), so a one-program fused run is
-/// identical to the unfused path; later programs draw fresh decorrelated
-/// source salts.
-/// \throws std::invalid_argument if coeffs is empty or any vector's size
-///         is not order + 1.
-[[nodiscard]] FusedScInputs make_fused_sc_inputs(
-    double x, const std::vector<std::vector<double>>& coeffs,
-    std::size_t order, std::size_t length, const ScInputConfig& config = {});
-
-/// Per-cycle stimulus of the two-input (tensor-product) ReSC unit: n
-/// encodings of x, m encodings of y, and (n+1)*(m+1) coefficient streams
-/// in row-major order (stream i*(m+1)+j encodes c_{i,j}), all of equal
-/// length. Either input order may be zero (that axis degenerates).
-struct ScInputs2 {
-  std::vector<Bitstream> x_streams;  ///< n independent encodings of x
-  std::vector<Bitstream> y_streams;  ///< m independent encodings of y
-  /// Row-major coefficient streams: index i*(order_y()+1)+j is c_{i,j}.
-  std::vector<Bitstream> z_streams;
-
-  [[nodiscard]] std::size_t order_x() const noexcept {
-    return x_streams.size();
-  }
-  [[nodiscard]] std::size_t order_y() const noexcept {
-    return y_streams.size();
-  }
-  /// Stream length; when both input banks are empty the coefficient
-  /// streams define it.
-  [[nodiscard]] std::size_t length() const noexcept {
-    if (!x_streams.empty()) return x_streams.front().size();
-    if (!y_streams.empty()) return y_streams.front().size();
-    return z_streams.empty() ? 0 : z_streams.front().size();
-  }
-  /// Ones among the x bits at cycle t (selects coefficient row i).
-  [[nodiscard]] std::size_t select_x(std::size_t t) const;
-  /// Ones among the y bits at cycle t (selects coefficient column j).
-  [[nodiscard]] std::size_t select_y(std::size_t t) const;
-};
-
-/// Generate the shared stimulus for evaluating a tensor-product Bernstein
-/// polynomial of per-axis orders (order_x, order_y) at (x, y). `coeffs` is
-/// the flat row-major grid, (order_x+1)*(order_y+1) long.
-/// \throws std::invalid_argument on a coefficient-count mismatch.
-[[nodiscard]] ScInputs2 make_sc_inputs2(double x, double y,
-                                        const std::vector<double>& coeffs,
-                                        std::size_t order_x,
-                                        std::size_t order_y,
-                                        std::size_t length,
-                                        const ScInputConfig& config = {});
-
-/// Fused two-input stimulus: the x and y banks are generated once and
-/// shared by every program; only the K coefficient-grid stream sets are
-/// per-program.
-struct FusedScInputs2 {
-  std::vector<Bitstream> x_streams;  ///< n shared encodings of x
-  std::vector<Bitstream> y_streams;  ///< m shared encodings of y
-  /// z_streams[k] is program k's flat row-major coefficient streams.
-  std::vector<std::vector<Bitstream>> z_streams;
-
-  [[nodiscard]] std::size_t order_x() const noexcept {
-    return x_streams.size();
-  }
-  [[nodiscard]] std::size_t order_y() const noexcept {
-    return y_streams.size();
-  }
-  [[nodiscard]] std::size_t programs() const noexcept {
-    return z_streams.size();
-  }
-  [[nodiscard]] std::size_t length() const noexcept {
-    if (!x_streams.empty()) return x_streams.front().size();
-    if (!y_streams.empty()) return y_streams.front().size();
-    if (z_streams.empty() || z_streams.front().empty()) return 0;
-    return z_streams.front().front().size();
-  }
-
-  /// View of program k as a single-program stimulus (copies streams).
-  /// \throws std::out_of_range on a bad program index.
-  [[nodiscard]] ScInputs2 program(std::size_t k) const;
-};
-
-/// Generate fused two-input stimulus for K coefficient grids sharing one
-/// (x, y). Program 0 receives exactly the streams make_sc_inputs2 would
-/// generate from the same config (bit-for-bit), so a one-program fused
-/// run is identical to the unfused path.
-/// \throws std::invalid_argument if coeffs is empty or any grid's size is
-///         not (order_x+1)*(order_y+1).
-[[nodiscard]] FusedScInputs2 make_fused_sc_inputs2(
-    double x, double y, const std::vector<std::vector<double>>& coeffs,
-    std::size_t order_x, std::size_t order_y, std::size_t length,
+/// Generate the stimulus for evaluating one or more Bernstein programs of
+/// per-axis orders `orders` at `point` (one coordinate per axis).
+/// `coeffs_per_program[k]` is program k's row-major coefficient grid. Every
+/// stream draws its own source salt, in sequence from config.seed*2+1:
+/// each data bank in axis order, then each program's grid. So program 0 of
+/// a fused call is bit-identical to a one-program call, and later programs
+/// draw fresh decorrelated salts.
+/// \throws std::invalid_argument if point.size() != orders.size(), no
+///         program is given, or a grid has the wrong coefficient count.
+[[nodiscard]] ScInputs make_sc_inputs(
+    const std::vector<double>& point,
+    const std::vector<std::vector<double>>& coeffs_per_program,
+    const std::vector<std::size_t>& orders, std::size_t length,
     const ScInputConfig& config = {});
 
-/// Electronic ReSC evaluation unit.
+/// Electronic ReSC evaluation unit: one adder per input axis counts the
+/// ones among that axis's data bits, and the MUX routes the coefficient
+/// stream the adder values index to the output.
+/// E[out] = sum_g c_g prod_a B_{i_a, n_a}(x_a).
 class ReSCUnit {
  public:
-  /// \param poly Bernstein polynomial; must be SC-compatible (all
-  ///        coefficients in [0,1]) up to a small tolerance.
-  explicit ReSCUnit(BernsteinPoly poly);
+  /// One-input unit over a univariate Bernstein polynomial.
+  /// \throws std::invalid_argument unless every coefficient lies in [0, 1]
+  ///         up to a small tolerance (SC-compatible).
+  explicit ReSCUnit(const BernsteinPoly& poly);
+  /// Two-input (tensor-product) unit.
+  /// \throws std::invalid_argument as above.
+  explicit ReSCUnit(const BernsteinPoly2& poly);
 
-  [[nodiscard]] const BernsteinPoly& poly() const noexcept { return poly_; }
-  [[nodiscard]] std::size_t order() const noexcept { return poly_.degree(); }
+  /// Per-axis adder widths (select ranges).
+  [[nodiscard]] const std::vector<std::size_t>& orders() const noexcept {
+    return orders_;
+  }
+  /// Row-major coefficient grid (the MUX data inputs' probabilities).
+  [[nodiscard]] const std::vector<double>& coeffs() const noexcept {
+    return coeffs_;
+  }
 
-  /// The raw output stream: out[t] = z_{k(t)}[t] with k(t) the adder value.
-  [[nodiscard]] Bitstream output_stream(const ScInputs& inputs) const;
+  /// The raw output stream of program `program` of the stimulus:
+  /// out[t] = z_{i_0(t), ..., i_{N-1}(t)}[t] with i_a(t) axis a's adder
+  /// value.
+  /// \throws std::invalid_argument on stimulus shape mismatch,
+  ///         std::out_of_range on a bad program index.
+  [[nodiscard]] Bitstream output_stream(const ScInputs& inputs,
+                                        std::size_t program = 0) const;
 
   /// De-randomized estimate: fraction of ones in the output stream.
   [[nodiscard]] double evaluate(const ScInputs& inputs) const;
 
-  /// Convenience: generate stimulus internally and evaluate at x.
-  [[nodiscard]] double evaluate(double x, std::size_t length,
+  /// Convenience: generate stimulus internally and evaluate at `point`.
+  [[nodiscard]] double evaluate(const std::vector<double>& point,
+                                std::size_t length,
                                 const ScInputConfig& config = {}) const;
 
   /// Exact expected output for ideal (independent, exact-probability)
-  /// streams: sum_k C(n,k) x^k (1-x)^(n-k) b_k - algebraically equal to
-  /// the Bernstein polynomial value itself.
-  [[nodiscard]] double exact_expectation(double x) const;
+  /// streams - algebraically the Bernstein value itself.
+  [[nodiscard]] double exact_expectation(
+      const std::vector<double>& point) const;
 
  private:
-  BernsteinPoly poly_;
-};
+  ReSCUnit(std::vector<std::size_t> orders, std::vector<double> coeffs);
 
-/// Electronic two-input ReSC evaluation unit - the tensor-product
-/// generalization of Qian et al.'s architecture: one adder counts the
-/// ones among the n x bits (row select i), a second adder counts the m y
-/// bits (column select j), and the MUX routes coefficient stream c_{i,j}
-/// to the output. E[out] = sum_{i,j} c_{i,j} B_{i,n}(x) B_{j,m}(y).
-class ReSC2Unit {
- public:
-  /// \param poly Tensor-product Bernstein polynomial; must be
-  ///        SC-compatible (all coefficients in [0,1]) up to a small
-  ///        tolerance.
-  explicit ReSC2Unit(BernsteinPoly2 poly);
-
-  [[nodiscard]] const BernsteinPoly2& poly() const noexcept { return poly_; }
-  [[nodiscard]] std::size_t order_x() const noexcept { return poly_.deg_x(); }
-  [[nodiscard]] std::size_t order_y() const noexcept { return poly_.deg_y(); }
-
-  /// The raw output stream: out[t] = z_{i(t),j(t)}[t] with i(t)/j(t) the
-  /// two adder values.
-  /// \throws std::invalid_argument on stimulus shape mismatch.
-  [[nodiscard]] Bitstream output_stream(const ScInputs2& inputs) const;
-
-  /// De-randomized estimate: fraction of ones in the output stream.
-  [[nodiscard]] double evaluate(const ScInputs2& inputs) const;
-
-  /// Convenience: generate stimulus internally and evaluate at (x, y).
-  [[nodiscard]] double evaluate(double x, double y, std::size_t length,
-                                const ScInputConfig& config = {}) const;
-
-  /// Exact expected output for ideal streams - algebraically the
-  /// tensor-product Bernstein value itself.
-  [[nodiscard]] double exact_expectation(double x, double y) const;
-
- private:
-  BernsteinPoly2 poly_;
+  std::vector<std::size_t> orders_;
+  std::vector<double> coeffs_;
 };
 
 }  // namespace oscs::stochastic

@@ -180,12 +180,10 @@ TEST(CompiledProgramTest, Degree0ProgramMatchesReSCUnitBitForBit) {
   sc::ScInputConfig stimulus;
   stimulus.seed = 99;
   for (double x : {0.0, 0.3, 1.0}) {
-    const sc::ScInputs inputs =
-        sc::make_sc_inputs(x, program->poly().coeffs(), 1, 1000, stimulus);
+    const sc::ScInputs inputs = sc::make_sc_inputs(
+        {x}, {program->poly().coeffs()}, {1}, 1000, stimulus);
     const eng::PackedKernel::Streams streams =
-        program->kernel()
-            ->evaluate({&inputs.x_streams}, {&inputs.z_streams})
-            .front();
+        program->kernel()->evaluate(inputs).front();
     EXPECT_TRUE(streams.electronic == unit.output_stream(inputs))
         << "x=" << x;
   }
@@ -208,12 +206,10 @@ TEST(CompiledProgramTest, Degree1ProgramMatchesReSCUnitBitForBit) {
   sc::ScInputConfig stimulus;
   stimulus.seed = 1234;
   for (std::size_t length : {63u, 64u, 1000u}) {
-    const sc::ScInputs inputs =
-        sc::make_sc_inputs(0.5, program->poly().coeffs(), 1, length, stimulus);
+    const sc::ScInputs inputs = sc::make_sc_inputs(
+        {0.5}, {program->poly().coeffs()}, {1}, length, stimulus);
     const eng::PackedKernel::Streams streams =
-        program->kernel()
-            ->evaluate({&inputs.x_streams}, {&inputs.z_streams})
-            .front();
+        program->kernel()->evaluate(inputs).front();
     EXPECT_TRUE(streams.electronic == unit.output_stream(inputs))
         << "length=" << length;
     // And the de-randomized estimates agree exactly.

@@ -29,29 +29,30 @@ TEST(FusedStimulus, ProgramZeroMatchesTheUnfusedStimulusBitForBit) {
   for (const auto& p : polys) coeffs.push_back(p.coeffs());
   sc::ScInputConfig config;
   config.seed = 77;
-  const sc::FusedScInputs fused =
-      sc::make_fused_sc_inputs(0.4, coeffs, 3, 640, config);
+  const sc::ScInputs fused =
+      sc::make_sc_inputs({0.4}, coeffs, {3}, 640, config);
   const sc::ScInputs single =
-      sc::make_sc_inputs(0.4, coeffs[0], 3, 640, config);
+      sc::make_sc_inputs({0.4}, {coeffs[0]}, {3}, 640, config);
 
-  ASSERT_EQ(fused.programs(), 3u);
-  ASSERT_EQ(fused.order(), 3u);
+  ASSERT_EQ(fused.programs.size(), 3u);
+  ASSERT_EQ(fused.orders(), std::vector<std::size_t>{3});
   ASSERT_EQ(fused.length(), 640u);
   for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(fused.x_streams[i], single.x_streams[i]) << "x stream " << i;
+    EXPECT_EQ(fused.axes[0][i], single.axes[0][i]) << "x stream " << i;
   }
   for (std::size_t j = 0; j <= 3; ++j) {
-    EXPECT_EQ(fused.z_streams[0][j], single.z_streams[j]) << "z stream " << j;
+    EXPECT_EQ(fused.programs[0][j], single.programs[0][j])
+        << "z stream " << j;
   }
   // Later programs draw fresh salts: their coefficient streams must not
   // repeat program 0's even for equal coefficient values.
-  const sc::FusedScInputs same_coeffs = sc::make_fused_sc_inputs(
-      0.4, {coeffs[0], coeffs[0]}, 3, 640, config);
-  EXPECT_NE(same_coeffs.z_streams[1][0], same_coeffs.z_streams[0][0]);
+  const sc::ScInputs same_coeffs = sc::make_sc_inputs(
+      {0.4}, {coeffs[0], coeffs[0]}, {3}, 640, config);
+  EXPECT_NE(same_coeffs.programs[1][0], same_coeffs.programs[0][0]);
 
-  EXPECT_THROW(sc::make_fused_sc_inputs(0.4, {}, 3, 64, config),
+  EXPECT_THROW(sc::make_sc_inputs({0.4}, {}, {3}, 64, config),
                std::invalid_argument);
-  EXPECT_THROW(sc::make_fused_sc_inputs(0.4, {{0.5, 0.5}}, 3, 64, config),
+  EXPECT_THROW(sc::make_sc_inputs({0.4}, {{0.5, 0.5}}, {3}, 64, config),
                std::invalid_argument);
 }
 
@@ -61,23 +62,19 @@ TEST(FusedKernel, EvaluateFusedMatchesPerProgramEvaluate) {
   const auto polys = order3_programs();
   std::vector<std::vector<double>> coeffs;
   for (const auto& p : polys) coeffs.push_back(p.coeffs());
-  const sc::FusedScInputs fused =
-      sc::make_fused_sc_inputs(0.55, coeffs, 3, 1000, {});
+  const sc::ScInputs fused =
+      sc::make_sc_inputs({0.55}, coeffs, {3}, 1000, {});
 
-  std::vector<const std::vector<sc::Bitstream>*> z_sets;
-  for (const auto& zs : fused.z_streams) z_sets.push_back(&zs);
-  const std::vector<PackedKernel::Streams> all =
-      kernel.evaluate({&fused.x_streams}, z_sets);
+  const std::vector<PackedKernel::Streams> all = kernel.evaluate(fused);
   ASSERT_EQ(all.size(), polys.size());
   for (std::size_t k = 0; k < polys.size(); ++k) {
-    const sc::ScInputs program = fused.program(k);
-    const PackedKernel::Streams one =
-        kernel.evaluate({&program.x_streams}, {&program.z_streams}).front();
+    const sc::ScInputs program{fused.axes, {fused.programs[k]}};
+    const PackedKernel::Streams one = kernel.evaluate(program).front();
     EXPECT_EQ(all[k].optical, one.optical) << "program " << k;
     EXPECT_EQ(all[k].electronic, one.electronic) << "program " << k;
     // The ReSC baseline on the same shared stimulus agrees too.
     const sc::ReSCUnit unit(polys[k]);
-    EXPECT_EQ(all[k].electronic, unit.output_stream(fused.program(k)))
+    EXPECT_EQ(all[k].electronic, unit.output_stream(fused, k))
         << "program " << k;
   }
 }

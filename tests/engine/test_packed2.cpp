@@ -1,7 +1,7 @@
 /// Edge-case tests for the two-axis (tensor-product MUX) packed-kernel
 /// path, mirroring the univariate tail-mask regressions: word-boundary
 /// stream lengths, degree-0 on one axis, corners of the unit square - all
-/// asserting bit-identical agreement with the electronic ReSC2Unit at
+/// asserting bit-identical agreement with the two-axis electronic ReSCUnit at
 /// BER 0 - plus the fused two-bank mode and the arity/order error
 /// contract.
 
@@ -57,14 +57,11 @@ TEST_P(BivariatePackedEdgeTest, Evaluate2BitIdenticalToReSC2AtBerZero) {
   const auto [deg_x, deg_y, length] = GetParam();
   const sc::BernsteinPoly2 poly = grid_poly(deg_x, deg_y);
   const PackedKernel kernel(circuit2(), {deg_x, deg_y});
-  const sc::ReSC2Unit unit(poly);
+  const sc::ReSCUnit unit(poly);
 
-  const sc::ScInputs2 inputs = sc::make_sc_inputs2(
-      0.35, 0.8, poly.coeffs(), deg_x, deg_y, length, {.seed = 13});
-  const PackedKernel::Streams streams =
-      kernel.evaluate({&inputs.x_streams, &inputs.y_streams},
-                      {&inputs.z_streams})
-          .front();
+  const sc::ScInputs inputs = sc::make_sc_inputs(
+      {0.35, 0.8}, {poly.coeffs()}, {deg_x, deg_y}, length, {.seed = 13});
+  const PackedKernel::Streams streams = kernel.evaluate(inputs).front();
   const sc::Bitstream reference = unit.output_stream(inputs);
   EXPECT_EQ(streams.electronic, reference);
   // The bivariate decision model is mux-exact: the noiseless optical
@@ -76,7 +73,7 @@ TEST_P(BivariatePackedEdgeTest, Run2MatchesReSC2EstimateAtBerZero) {
   const auto [deg_x, deg_y, length] = GetParam();
   const sc::BernsteinPoly2 poly = grid_poly(deg_x, deg_y, /*salt=*/5);
   const PackedKernel kernel(circuit2(), {deg_x, deg_y});
-  const sc::ReSC2Unit unit(poly);
+  const sc::ReSCUnit unit(poly);
 
   PackedRunConfig cfg;
   cfg.op.stream_length = length;
@@ -85,7 +82,7 @@ TEST_P(BivariatePackedEdgeTest, Run2MatchesReSC2EstimateAtBerZero) {
   const PackedRunResult result =
       kernel.run_nd(sc::SeparableProgram(poly), {0.6, 0.25}, cfg);
   const double reference =
-      unit.evaluate(0.6, 0.25, length, {.seed = 99});
+      unit.evaluate({0.6, 0.25}, length, {.seed = 99});
   EXPECT_DOUBLE_EQ(result.optical_estimate, reference);
   EXPECT_DOUBLE_EQ(result.electronic_estimate, reference);
   EXPECT_EQ(result.transmission_flips, 0u);
@@ -112,14 +109,14 @@ TEST(BivariatePackedKernelTest, UnitSquareCornersMatchReSC2) {
   const sc::BernsteinPoly2 poly(1, 1, {0.0, 0.25, 0.5, 1.0});
   const sc::SeparableProgram program(poly);
   const PackedKernel kernel(circuit2(), {1, 1});
-  const sc::ReSC2Unit unit(poly);
+  const sc::ReSCUnit unit(poly);
   PackedRunConfig cfg;
   cfg.op.stream_length = 4096;
   cfg.stimulus_seed = 77;
   for (double x : {0.0, 1.0}) {
     for (double y : {0.0, 1.0}) {
       const PackedRunResult r = kernel.run_nd(program, {x, y}, cfg);
-      const double reference = unit.evaluate(x, y, 4096, {.seed = 77});
+      const double reference = unit.evaluate({x, y}, 4096, {.seed = 77});
       EXPECT_DOUBLE_EQ(r.optical_estimate, reference)
           << "corner (" << x << ", " << y << ")";
     }
@@ -216,10 +213,8 @@ TEST(BivariatePackedKernelTest, EmptyStimulusOnDegenerateKernelThrows) {
   // so an all-empty stimulus must fail the shape check instead of
   // dereferencing a missing stream.
   const PackedKernel kernel(circuit2(), {0, 0});
-  const sc::ScInputs2 empty;
-  EXPECT_THROW((void)kernel.evaluate({&empty.x_streams, &empty.y_streams},
-                                     {&empty.z_streams}),
-               std::invalid_argument);
+  const sc::ScInputs empty{{{}, {}}, {{}}};
+  EXPECT_THROW((void)kernel.evaluate(empty), std::invalid_argument);
 }
 
 TEST(BivariatePackedKernelTest, BivariateAccessorsReportMode) {

@@ -19,7 +19,7 @@ namespace sc = oscs::stochastic;
 /// One-program noiseless pass over univariate stimulus.
 PackedKernel::Streams evaluate_one(const PackedKernel& kernel,
                                    const sc::ScInputs& inputs) {
-  return kernel.evaluate({&inputs.x_streams}, {&inputs.z_streams}).front();
+  return kernel.evaluate(inputs).front();
 }
 
 /// One univariate evaluation through the kernel's one entry point.
@@ -73,15 +73,15 @@ TEST(PackedKernel, NoiselessPassIsBitIdenticalToPerBitPhysics) {
   // Lengths straddling word boundaries, including a non-multiple of 64.
   for (std::size_t length : {64u, 130u, 1000u}) {
     const sc::ScInputs inputs =
-        sc::make_sc_inputs(0.6, {0.1, 0.7, 0.4}, 2, length, {});
+        sc::make_sc_inputs({0.6}, {{0.1, 0.7, 0.4}}, {2}, length, {});
     const PackedKernel::Streams streams = evaluate_one(kernel, inputs);
     ASSERT_EQ(streams.optical.size(), length);
     for (std::size_t t = 0; t < length; ++t) {
-      std::vector<bool> x{inputs.x_streams[0].bit(t),
-                          inputs.x_streams[1].bit(t)};
-      std::vector<bool> z{inputs.z_streams[0].bit(t),
-                          inputs.z_streams[1].bit(t),
-                          inputs.z_streams[2].bit(t)};
+      std::vector<bool> x{inputs.axes[0][0].bit(t),
+                          inputs.axes[0][1].bit(t)};
+      std::vector<bool> z{inputs.programs[0][0].bit(t),
+                          inputs.programs[0][1].bit(t),
+                          inputs.programs[0][2].bit(t)};
       const bool expected =
           c.received_power_mw(z, x, probe) > kernel.threshold_mw();
       ASSERT_EQ(streams.optical.bit(t), expected) << "bit " << t;
@@ -94,7 +94,7 @@ TEST(PackedKernel, ElectronicStreamMatchesReSCUnit) {
   const PackedKernel kernel(c);
   const sc::BernsteinPoly poly = order2_poly();
   const sc::ScInputs inputs =
-      sc::make_sc_inputs(0.35, poly.coeffs(), 2, 1000, {});
+      sc::make_sc_inputs({0.35}, {poly.coeffs()}, {2}, 1000, {});
   const PackedKernel::Streams streams = evaluate_one(kernel, inputs);
   const sc::ReSCUnit resc(poly);
   EXPECT_EQ(streams.electronic, resc.output_stream(inputs));
@@ -245,10 +245,11 @@ TEST(PackedKernel, RejectsBadInputs) {
                std::invalid_argument);
 
   sc::ScInputs bad;
-  bad.x_streams.assign(2, sc::Bitstream(64));
-  bad.z_streams.assign(2, sc::Bitstream(64));  // needs order + 1 = 3
+  bad.axes = {std::vector<sc::Bitstream>(2, sc::Bitstream(64))};
+  bad.programs = {std::vector<sc::Bitstream>(2, sc::Bitstream(64))};
+  // needs order + 1 = 3 coefficient streams
   EXPECT_THROW(evaluate_one(kernel, bad), std::invalid_argument);
-  bad.z_streams.assign(3, sc::Bitstream(32));  // ragged vs x streams
+  bad.programs[0].assign(3, sc::Bitstream(32));  // ragged vs x streams
   EXPECT_THROW(evaluate_one(kernel, bad), std::invalid_argument);
 }
 

@@ -248,15 +248,14 @@ TEST(SimdKernelEquivalence, EvaluateMatchesPerBitPhysicsUnderBothBackends) {
   for (oscs::SimdBackend backend : backends) {
     ScopedBackend scope(backend);
     const sc::ScInputs inputs =
-        sc::make_sc_inputs(0.6, {0.1, 0.7, 0.4}, 2, 1000, {});
-    const PackedKernel::Streams streams =
-        kernel.evaluate({&inputs.x_streams}, {&inputs.z_streams}).front();
+        sc::make_sc_inputs({0.6}, {{0.1, 0.7, 0.4}}, {2}, 1000, {});
+    const PackedKernel::Streams streams = kernel.evaluate(inputs).front();
     for (std::size_t t = 0; t < 1000; ++t) {
-      std::vector<bool> x{inputs.x_streams[0].bit(t),
-                          inputs.x_streams[1].bit(t)};
-      std::vector<bool> z{inputs.z_streams[0].bit(t),
-                          inputs.z_streams[1].bit(t),
-                          inputs.z_streams[2].bit(t)};
+      std::vector<bool> x{inputs.axes[0][0].bit(t),
+                          inputs.axes[0][1].bit(t)};
+      std::vector<bool> z{inputs.programs[0][0].bit(t),
+                          inputs.programs[0][1].bit(t),
+                          inputs.programs[0][2].bit(t)};
       const bool expected =
           c.received_power_mw(z, x, probe) > kernel.threshold_mw();
       ASSERT_EQ(streams.optical.bit(t), expected)

@@ -26,32 +26,32 @@ BernsteinPoly2 blend_poly() {
 }
 
 /// Naive per-cycle reference: out[t] = z_{i(t), j(t)}[t].
-Bitstream reference_output(const ScInputs2& inputs, std::size_t order_y) {
+Bitstream reference_output(const ScInputs& inputs, std::size_t order_y) {
   Bitstream out(inputs.length());
   for (std::size_t t = 0; t < inputs.length(); ++t) {
-    const std::size_t i = inputs.select_x(t);
-    const std::size_t j = inputs.select_y(t);
-    out.set_bit(t, inputs.z_streams[i * (order_y + 1) + j].bit(t));
+    const std::size_t i = inputs.select(0, t);
+    const std::size_t j = inputs.select(1, t);
+    out.set_bit(t, inputs.programs[0][i * (order_y + 1) + j].bit(t));
   }
   return out;
 }
 
 TEST(BivariateResc2Test, ExactExpectationIsTensorBernsteinValue) {
-  const ReSC2Unit unit(blend_poly());
+  const ReSCUnit unit(blend_poly());
   for (double x : {0.0, 0.25, 0.5, 1.0}) {
     for (double y : {0.0, 0.5, 0.75, 1.0}) {
-      EXPECT_NEAR(unit.exact_expectation(x, y), y * x + (1.0 - y) * 0.25,
+      EXPECT_NEAR(unit.exact_expectation({x, y}), y * x + (1.0 - y) * 0.25,
                   1e-12);
     }
   }
 }
 
 TEST(BivariateResc2Test, OutputStreamMatchesPerCycleReference) {
-  const ReSC2Unit unit(ReSC2Unit(BernsteinPoly2(
+  const ReSCUnit unit(ReSCUnit(BernsteinPoly2(
       2, 3, {0.1, 0.9, 0.4, 0.3, 0.8, 0.2, 0.6, 0.5, 0.0, 1.0, 0.7, 0.35})));
   for (std::size_t length : {1u, 63u, 64u, 65u, 1000u}) {
-    const ScInputs2 inputs = make_sc_inputs2(
-        0.4, 0.7, unit.poly().coeffs(), 2, 3, length, {.seed = 7});
+    const ScInputs inputs = make_sc_inputs({0.4, 0.7}, {unit.coeffs()}, {2, 3},
+                                           length, {.seed = 7});
     const Bitstream fast = unit.output_stream(inputs);
     const Bitstream slow = reference_output(inputs, 3);
     EXPECT_EQ(fast, slow) << "length=" << length;
@@ -59,10 +59,10 @@ TEST(BivariateResc2Test, OutputStreamMatchesPerCycleReference) {
 }
 
 TEST(BivariateResc2Test, EvaluateConvergesToExactExpectation) {
-  const ReSC2Unit unit(mul_poly());
+  const ReSCUnit unit(mul_poly());
   for (double x : {0.25, 0.5, 0.9}) {
     for (double y : {0.1, 0.5, 0.75}) {
-      const double estimate = unit.evaluate(x, y, 1 << 15, {.seed = 3});
+      const double estimate = unit.evaluate({x, y}, 1 << 15, {.seed = 3});
       EXPECT_NEAR(estimate, x * y, 0.02) << "x=" << x << " y=" << y;
     }
   }
@@ -72,60 +72,63 @@ TEST(BivariateResc2Test, DegreeZeroAxisDegeneratesGracefully) {
   // order_y = 0: no y streams, single coefficient column - a univariate
   // unit in disguise.
   const BernsteinPoly2 poly(2, 0, {0.1, 0.8, 0.3});
-  const ReSC2Unit unit(poly);
-  const ScInputs2 inputs =
-      make_sc_inputs2(0.5, 0.9, poly.coeffs(), 2, 0, 4096, {.seed = 11});
-  EXPECT_TRUE(inputs.y_streams.empty());
+  const ReSCUnit unit(poly);
+  const ScInputs inputs =
+      make_sc_inputs({0.5, 0.9}, {poly.coeffs()}, {2, 0}, 4096, {.seed = 11});
+  EXPECT_TRUE(inputs.axes[1].empty());
   const double estimate = unit.evaluate(inputs);
-  EXPECT_NEAR(estimate, unit.exact_expectation(0.5, /*y=*/0.0), 0.03);
+  EXPECT_NEAR(estimate, unit.exact_expectation({0.5, /*y=*/0.0}), 0.03);
 }
 
 TEST(BivariateResc2Test, FusedProgramZeroIsBitIdenticalToUnfused) {
   const std::vector<std::vector<double>> grids = {
       mul_poly().coeffs(), blend_poly().coeffs()};
   const ScInputConfig config{.seed = 21};
-  const FusedScInputs2 fused =
-      make_fused_sc_inputs2(0.6, 0.3, grids, 1, 1, 512, config);
-  const ScInputs2 single =
-      make_sc_inputs2(0.6, 0.3, grids[0], 1, 1, 512, config);
-  ASSERT_EQ(fused.programs(), 2u);
-  const ScInputs2 program0 = fused.program(0);
-  EXPECT_EQ(program0.x_streams, single.x_streams);
-  EXPECT_EQ(program0.y_streams, single.y_streams);
-  EXPECT_EQ(program0.z_streams, single.z_streams);
+  const ScInputs fused =
+      make_sc_inputs({0.6, 0.3}, grids, {1, 1}, 512, config);
+  const ScInputs single =
+      make_sc_inputs({0.6, 0.3}, {grids[0]}, {1, 1}, 512, config);
+  ASSERT_EQ(fused.programs.size(), 2u);
+  EXPECT_EQ(fused.axes[0], single.axes[0]);
+  EXPECT_EQ(fused.axes[1], single.axes[1]);
+  EXPECT_EQ(fused.programs[0], single.programs[0]);
 }
 
 TEST(BivariateResc2Test, FusedProgramIndexOutOfRangeThrows) {
-  const FusedScInputs2 fused = make_fused_sc_inputs2(
-      0.5, 0.5, {mul_poly().coeffs()}, 1, 1, 64, {.seed = 1});
-  EXPECT_THROW((void)fused.program(1), std::out_of_range);
+  const ScInputs fused = make_sc_inputs({0.5, 0.5}, {mul_poly().coeffs()},
+                                        {1, 1}, 64, {.seed = 1});
+  const ReSCUnit unit(mul_poly());
+  EXPECT_THROW((void)unit.output_stream(fused, 1), std::out_of_range);
 }
 
 TEST(BivariateResc2Test, RejectsCoefficientCountMismatch) {
-  EXPECT_THROW((void)make_sc_inputs2(0.5, 0.5, {0.1, 0.2, 0.3}, 1, 1, 64),
-               std::invalid_argument);
   EXPECT_THROW(
-      (void)make_fused_sc_inputs2(0.5, 0.5, {{0.1, 0.2, 0.3}}, 1, 1, 64),
+      (void)make_sc_inputs({0.5, 0.5}, {{0.1, 0.2, 0.3}}, {1, 1}, 64),
       std::invalid_argument);
-  EXPECT_THROW((void)make_fused_sc_inputs2(0.5, 0.5, {}, 1, 1, 64),
+  EXPECT_THROW((void)make_sc_inputs({0.5, 0.5},
+                                    {{0.1, 0.2, 0.3, 0.4}, {0.1, 0.2, 0.3}},
+                                    {1, 1}, 64),
+               std::invalid_argument);
+  EXPECT_THROW((void)make_sc_inputs({0.5, 0.5}, {}, {1, 1}, 64),
                std::invalid_argument);
 }
 
 TEST(BivariateResc2Test, RejectsOutOfUnitCoefficients) {
-  EXPECT_THROW(ReSC2Unit(BernsteinPoly2(1, 1, {0.0, 0.0, 0.0, 1.5})),
+  EXPECT_THROW(ReSCUnit(BernsteinPoly2(1, 1, {0.0, 0.0, 0.0, 1.5})),
                std::invalid_argument);
-  EXPECT_THROW(ReSC2Unit(BernsteinPoly2(1, 1, {-0.2, 0.0, 0.0, 1.0})),
+  EXPECT_THROW(ReSCUnit(BernsteinPoly2(1, 1, {-0.2, 0.0, 0.0, 1.0})),
                std::invalid_argument);
 }
 
 TEST(BivariateResc2Test, RejectsStimulusShapeMismatch) {
-  const ReSC2Unit unit(mul_poly());
-  ScInputs2 wrong_order =
-      make_sc_inputs2(0.5, 0.5, {0.1, 0.2, 0.3, 0.4, 0.5, 0.6}, 2, 1, 64);
+  const ReSCUnit unit(mul_poly());
+  ScInputs wrong_order = make_sc_inputs(
+      {0.5, 0.5}, {{0.1, 0.2, 0.3, 0.4, 0.5, 0.6}}, {2, 1}, 64);
   EXPECT_THROW((void)unit.output_stream(wrong_order), std::invalid_argument);
 
-  ScInputs2 ragged = make_sc_inputs2(0.5, 0.5, mul_poly().coeffs(), 1, 1, 64);
-  ragged.z_streams.back() = Bitstream(32);
+  ScInputs ragged =
+      make_sc_inputs({0.5, 0.5}, {mul_poly().coeffs()}, {1, 1}, 64);
+  ragged.programs[0].back() = Bitstream(32);
   EXPECT_THROW((void)unit.output_stream(ragged), std::invalid_argument);
 }
 

@@ -112,62 +112,42 @@ const char* source_name(SourceKind kind) {
   return "?";
 }
 
+void hash_stimulus(oscs::Fnv1a& h, const ScInputs& in) {
+  for (const auto& bank : in.axes) hash_streams(h, bank);
+  for (const auto& grid : in.programs) hash_streams(h, grid);
+}
+
 std::uint64_t family_digest(Family family, SourceKind kind,
                             std::size_t length) {
   const ScInputConfig config{kind, 16, kSeed};
+  const bool fused = family == Family::kFused1 || family == Family::kFused2;
+  const bool resc = family == Family::kResc1 || family == Family::kResc2;
+  std::vector<std::vector<std::size_t>> shapes;
+  std::vector<double> point;
+  if (family == Family::kSc1 || family == Family::kFused1 ||
+      family == Family::kResc1) {
+    for (std::size_t n : kOrders1) shapes.push_back({n});
+    point = {kX};
+  } else {
+    for (const auto& [n, m] : kOrders2) shapes.push_back({n, m});
+    point = {kX, kY};
+  }
   oscs::Fnv1a h;
-  switch (family) {
-    case Family::kSc1:
-      for (std::size_t n : kOrders1) {
-        const ScInputs in =
-            make_sc_inputs(kX, grid_coeffs(n + 1, 0), n, length, config);
-        hash_streams(h, in.x_streams);
-        hash_streams(h, in.z_streams);
-      }
-      break;
-    case Family::kFused1:
-      for (std::size_t n : kOrders1) {
-        const FusedScInputs in = make_fused_sc_inputs(
-            kX, program_grids(n + 1, kPrograms), n, length, config);
-        hash_streams(h, in.x_streams);
-        for (const auto& zs : in.z_streams) hash_streams(h, zs);
-      }
-      break;
-    case Family::kSc2:
-      for (const auto& [n, m] : kOrders2) {
-        const ScInputs2 in = make_sc_inputs2(
-            kX, kY, grid_coeffs((n + 1) * (m + 1), 0), n, m, length, config);
-        hash_streams(h, in.x_streams);
-        hash_streams(h, in.y_streams);
-        hash_streams(h, in.z_streams);
-      }
-      break;
-    case Family::kFused2:
-      for (const auto& [n, m] : kOrders2) {
-        const FusedScInputs2 in = make_fused_sc_inputs2(
-            kX, kY, program_grids((n + 1) * (m + 1), kPrograms), n, m, length,
-            config);
-        hash_streams(h, in.x_streams);
-        hash_streams(h, in.y_streams);
-        for (const auto& zs : in.z_streams) hash_streams(h, zs);
-      }
-      break;
-    case Family::kResc1:
-      for (std::size_t n : kOrders1) {
-        const ReSCUnit unit(BernsteinPoly(grid_coeffs(n + 1, 0)));
-        const ScInputs in =
-            make_sc_inputs(kX, grid_coeffs(n + 1, 0), n, length, config);
-        hash_stream(h, unit.output_stream(in));
-      }
-      break;
-    case Family::kResc2:
-      for (const auto& [n, m] : kOrders2) {
-        const std::vector<double> c = grid_coeffs((n + 1) * (m + 1), 0);
-        const ReSC2Unit unit(BernsteinPoly2(n, m, c));
-        const ScInputs2 in = make_sc_inputs2(kX, kY, c, n, m, length, config);
-        hash_stream(h, unit.output_stream(in));
-      }
-      break;
+  for (const std::vector<std::size_t>& orders : shapes) {
+    std::size_t grid = 1;
+    for (std::size_t n : orders) grid *= n + 1;
+    const ScInputs in = make_sc_inputs(
+        point, program_grids(grid, fused ? kPrograms : 1), orders, length,
+        config);
+    if (!resc) {
+      hash_stimulus(h, in);
+      continue;
+    }
+    const std::vector<double> c = grid_coeffs(grid, 0);
+    const ReSCUnit unit = orders.size() == 1
+                              ? ReSCUnit(BernsteinPoly(c))
+                              : ReSCUnit(BernsteinPoly2(orders[0], orders[1], c));
+    hash_stream(h, unit.output_stream(in));
   }
   return h.value();
 }
