@@ -140,20 +140,47 @@ double bernstein_basis2(std::size_t i, std::size_t j, std::size_t n,
 std::vector<double> bernstein_moments2(
     const std::function<double(double, double)>& f, std::size_t deg_x,
     std::size_t deg_y, std::size_t quad_points) {
+  // The nested integral int B_i(x) (int f(x, y) B_j(y) dy) dx on one tensor
+  // Gauss-Legendre grid, with every sum in integrate_gl's order. f runs once
+  // per node pair, and each inner y-integral once per (j, x-node), shared
+  // by every row i.
+  const oscs::QuadratureRule rule = oscs::gauss_legendre(quad_points);
+  const std::size_t q = quad_points;
+  const double half = 0.5;  // integrate_gl's (b - a) / 2 on [0, 1]
+  std::vector<double> nodes(q);
+  for (std::size_t p = 0; p < q; ++p) nodes[p] = 0.5 + half * rule.nodes[p];
+  std::vector<double> values(q * q);  // f(x_p, y_r) at p * q + r
+  for (std::size_t p = 0; p < q; ++p) {
+    for (std::size_t r = 0; r < q; ++r) {
+      values[p * q + r] = f(nodes[p], nodes[r]);
+    }
+  }
   const std::size_t cols = deg_y + 1;
+  std::vector<double> inner(cols * q);  // y-integral for (j, x_p)
+  std::vector<double> basis(q);
+  for (std::size_t j = 0; j < cols; ++j) {
+    for (std::size_t r = 0; r < q; ++r) {
+      basis[r] = bernstein_basis(j, deg_y, nodes[r]);
+    }
+    for (std::size_t p = 0; p < q; ++p) {
+      double sum = 0.0;
+      for (std::size_t r = 0; r < q; ++r) {
+        sum += rule.weights[r] * (values[p * q + r] * basis[r]);
+      }
+      inner[j * q + p] = half * sum;
+    }
+  }
   std::vector<double> rhs((deg_x + 1) * cols, 0.0);
   for (std::size_t i = 0; i <= deg_x; ++i) {
-    for (std::size_t j = 0; j <= deg_y; ++j) {
-      rhs[i * cols + j] = oscs::integrate_gl(
-          [&](double x) {
-            return bernstein_basis(i, deg_x, x) *
-                   oscs::integrate_gl(
-                       [&](double y) {
-                         return f(x, y) * bernstein_basis(j, deg_y, y);
-                       },
-                       0.0, 1.0, quad_points);
-          },
-          0.0, 1.0, quad_points);
+    for (std::size_t p = 0; p < q; ++p) {
+      basis[p] = bernstein_basis(i, deg_x, nodes[p]);
+    }
+    for (std::size_t j = 0; j < cols; ++j) {
+      double sum = 0.0;
+      for (std::size_t p = 0; p < q; ++p) {
+        sum += rule.weights[p] * (basis[p] * inner[j * q + p]);
+      }
+      rhs[i * cols + j] = half * sum;
     }
   }
   return rhs;
@@ -248,40 +275,6 @@ BernsteinPoly2 BernsteinPoly2::elevated(std::size_t times_x,
   // The transpose swaps the axes, so the x elevation runs through the
   // row-wise y path above.
   return grown.transposed().elevated(0, times_x).transposed();
-}
-
-BernsteinPoly2 BernsteinPoly2::fit(
-    const std::function<double(double, double)>& f, std::size_t deg_x,
-    std::size_t deg_y, bool clamp_to_unit) {
-  // Normal equations Gx C Gy = M (both Grams symmetric), factored into
-  // per-axis Cholesky solves: column solves against Gx, then row solves
-  // against Gy.
-  const std::size_t rows = deg_x + 1;
-  const std::size_t cols = deg_y + 1;
-  const std::vector<double> moments = bernstein_moments2(f, deg_x, deg_y);
-  const oscs::Matrix gram_x = bernstein_gram(deg_x);
-  const oscs::Matrix gram_y = bernstein_gram(deg_y);
-
-  std::vector<double> t(rows * cols, 0.0);  // T = Gx^-1 M
-  std::vector<double> column(rows, 0.0);
-  for (std::size_t j = 0; j < cols; ++j) {
-    for (std::size_t i = 0; i < rows; ++i) column[i] = moments[i * cols + j];
-    const std::vector<double> solved = oscs::cholesky_solve(gram_x, column);
-    for (std::size_t i = 0; i < rows; ++i) t[i * cols + j] = solved[i];
-  }
-  std::vector<double> c(rows * cols, 0.0);  // C = T Gy^-1 (row solves)
-  for (std::size_t i = 0; i < rows; ++i) {
-    const std::vector<double> row(
-        t.begin() + static_cast<std::ptrdiff_t>(i * cols),
-        t.begin() + static_cast<std::ptrdiff_t>((i + 1) * cols));
-    const std::vector<double> solved = oscs::cholesky_solve(gram_y, row);
-    std::copy(solved.begin(), solved.end(),
-              c.begin() + static_cast<std::ptrdiff_t>(i * cols));
-  }
-  if (clamp_to_unit) {
-    for (double& v : c) v = oscs::clamp01(v);
-  }
-  return BernsteinPoly2(deg_x, deg_y, std::move(c));
 }
 
 }  // namespace oscs::stochastic

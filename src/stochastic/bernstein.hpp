@@ -134,16 +134,6 @@ class BernsteinPoly2 {
   [[nodiscard]] BernsteinPoly2 elevated(std::size_t times_x,
                                         std::size_t times_y) const;
 
-  /// Least-squares fit of f on the unit square at the given per-axis
-  /// degrees, minimizing the continuous L2 error. The tensor structure
-  /// G = Gx (x) Gy factors the normal equations into per-axis Cholesky
-  /// solves: C = Gx^-1 M Gy^-1. If `clamp_to_unit` is set, coefficients
-  /// are clamped into [0,1] afterwards (the constrained active-set solve
-  /// lives in compile::project2_at_degree).
-  [[nodiscard]] static BernsteinPoly2 fit(
-      const std::function<double(double, double)>& f, std::size_t deg_x,
-      std::size_t deg_y, bool clamp_to_unit = true);
-
  private:
   std::size_t deg_x_ = 0;
   std::size_t deg_y_ = 0;

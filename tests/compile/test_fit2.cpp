@@ -2,15 +2,21 @@
 /// bilinear targets, per-axis degree auto-selection in coefficient-count
 /// order, the [0,1] active-set constraint on the Kronecker system, and
 /// the 2D comparator-grid quantizer with its partition-of-unity error
-/// bound.
+/// bound, and exact recovery of fuzzed separable targets.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "compile/fit.hpp"
 #include "compile/quantize.hpp"
+#include "stochastic/bernstein.hpp"
 
 namespace oscs::compile {
 namespace {
@@ -117,6 +123,48 @@ TEST(BivariateQuantizeTest, RejectsBadWidthAndRange) {
   const sc::BernsteinPoly2 out_of_range(1, 1, {0.1, 0.2, 0.3, 1.4});
   EXPECT_THROW((void)quantize2(out_of_range, 16), std::invalid_argument);
 }
+
+/// One fuzz configuration: everything derives from the seed.
+struct Fuzz {
+  std::uint64_t seed;
+};
+
+class BivariateFitPropertyTest : public ::testing::TestWithParam<Fuzz> {
+ protected:
+  oscs::Xoshiro256 rng_{GetParam().seed};
+
+  /// Random degree in [0, max_degree] and coefficients in [0, 1].
+  sc::BernsteinPoly random_poly(std::size_t max_degree) {
+    const auto n = static_cast<std::size_t>(rng_() % (max_degree + 1));
+    std::vector<double> coeffs(n + 1, 0.0);
+    for (double& c : coeffs) c = rng_.uniform01();
+    return sc::BernsteinPoly(std::move(coeffs));
+  }
+
+  double random_unit() { return rng_.uniform01(); }
+};
+
+TEST_P(BivariateFitPropertyTest, SeparableFitIsExact) {
+  // f(x, y) = p(x) q(y) with Bernstein factors is exactly representable
+  // at the factor degrees: the tensor fit must recover it.
+  const sc::BernsteinPoly p = random_poly(3);
+  const sc::BernsteinPoly q = random_poly(3);
+  const ProjectionResult2 fitted = project2_at_degree(
+      [&](double x, double y) { return p(x) * q(y); }, p.degree(),
+      q.degree());
+  for (int trial = 0; trial < 8; ++trial) {
+    const double x = random_unit();
+    const double y = random_unit();
+    EXPECT_NEAR(fitted.poly(x, y), p(x) * q(y), 1e-8)
+        << "x=" << x << " y=" << y;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FuzzSeeds, BivariateFitPropertyTest,
+    ::testing::Values(Fuzz{1}, Fuzz{2}, Fuzz{3}, Fuzz{0xBEEF}, Fuzz{0xC0FFEE},
+                      Fuzz{0xDA7E2019}, Fuzz{42}, Fuzz{0x5EED5EED}),
+    [](const auto& info) { return "seed" + std::to_string(info.index); });
 
 }  // namespace
 }  // namespace oscs::compile

@@ -169,21 +169,6 @@ TEST_P(BivariateBernsteinPropertyTest, EvaluationMatchesBasisExpansion) {
   }
 }
 
-TEST_P(BivariateBernsteinPropertyTest, SeparableFitIsExact) {
-  // f(x, y) = p(x) q(y) with Bernstein factors is exactly representable
-  // at the factor degrees: the tensor fit must recover it.
-  const BernsteinPoly p = random_poly(3);
-  const BernsteinPoly q = random_poly(3);
-  const BernsteinPoly2 fitted = BernsteinPoly2::fit(
-      [&](double x, double y) { return p(x) * q(y); }, p.degree(),
-      q.degree(), /*clamp_to_unit=*/false);
-  for (int trial = 0; trial < 8; ++trial) {
-    const double x = random_unit();
-    const double y = random_unit();
-    EXPECT_NEAR(fitted(x, y), p(x) * q(y), 1e-8) << "x=" << x << " y=" << y;
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(
     FuzzSeeds, BivariateBernsteinPropertyTest,
     ::testing::Values(Fuzz{1}, Fuzz{2}, Fuzz{3}, Fuzz{0xBEEF}, Fuzz{0xC0FFEE},
