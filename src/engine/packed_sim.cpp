@@ -442,14 +442,11 @@ PackedRunResult PackedKernel::run_nd(const sc::SeparableProgram& program,
     std::vector<std::uint64_t> optical(nwords, ~std::uint64_t{0});
     std::vector<std::uint64_t> electronic(nwords, ~std::uint64_t{0});
     for (const sc::SeparableFactor& factor : term.factors) {
-      Streams streams = std::move(
-          evaluate(sc::make_sc_inputs(
-                       {point[factor.axis]}, {factor.poly.coeffs()}, orders_,
-                       length,
-                       {config.source_kind, config.op.sng_width,
-                        derive_factor_seed(config.stimulus_seed,
-                                           factor_index)}))
-              .front());
+      const sc::ScInputs inputs = sc::make_sc_inputs(
+          {point[factor.axis]}, {factor.poly.coeffs()}, orders_, length,
+          {config.source_kind, config.op.sng_width,
+           derive_factor_seed(config.stimulus_seed, factor_index)});
+      Streams streams = std::move(evaluate(inputs).front());
       // Per-factor receiver noise: each factor stream is its own optical
       // evaluation, so each gets its own Eq. 9 flip mask.
       const FlipMask mask = sample_flip_mask(

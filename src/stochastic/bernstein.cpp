@@ -141,14 +141,16 @@ std::vector<double> bernstein_moments2(
     const std::function<double(double, double)>& f, std::size_t deg_x,
     std::size_t deg_y, std::size_t quad_points) {
   // The nested integral int B_i(x) (int f(x, y) B_j(y) dy) dx on one tensor
-  // Gauss-Legendre grid, with every sum in integrate_gl's order. f runs once
-  // per node pair, and each inner y-integral once per (j, x-node), shared
-  // by every row i.
+  // Gauss-Legendre grid. f runs once per node pair, and each inner
+  // y-integral once per (j, x-node), shared by every row i. Nodes, products
+  // and sums follow integrate_gl's order exactly, so every moment is
+  // bit-identical to nesting two integrate_gl calls.
   const oscs::QuadratureRule rule = oscs::gauss_legendre(quad_points);
   const std::size_t q = quad_points;
+  const double mid = 0.5;   // integrate_gl's (a + b) / 2 on [0, 1]
   const double half = 0.5;  // integrate_gl's (b - a) / 2 on [0, 1]
   std::vector<double> nodes(q);
-  for (std::size_t p = 0; p < q; ++p) nodes[p] = 0.5 + half * rule.nodes[p];
+  for (std::size_t p = 0; p < q; ++p) nodes[p] = mid + half * rule.nodes[p];
   std::vector<double> values(q * q);  // f(x_p, y_r) at p * q + r
   for (std::size_t p = 0; p < q; ++p) {
     for (std::size_t r = 0; r < q; ++r) {

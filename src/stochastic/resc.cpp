@@ -25,13 +25,6 @@ void next_cell(std::vector<std::size_t>& index,
 
 }  // namespace
 
-std::vector<std::size_t> ScInputs::orders() const {
-  std::vector<std::size_t> out;
-  out.reserve(axes.size());
-  for (const std::vector<Bitstream>& bank : axes) out.push_back(bank.size());
-  return out;
-}
-
 std::size_t ScInputs::length() const noexcept {
   for (const std::vector<Bitstream>& bank : axes) {
     if (!bank.empty()) return bank.front().size();

@@ -28,8 +28,6 @@ struct ScInputs {
   std::vector<std::vector<Bitstream>> axes;      ///< axes[a]: data streams
   std::vector<std::vector<Bitstream>> programs;  ///< programs[k]: grid
 
-  /// Per-axis orders (data streams per axis).
-  [[nodiscard]] std::vector<std::size_t> orders() const;
   /// Stream length: the first non-empty data bank's, else the first
   /// coefficient stream's (0 for an empty stimulus).
   [[nodiscard]] std::size_t length() const noexcept;

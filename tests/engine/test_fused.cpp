@@ -35,7 +35,8 @@ TEST(FusedStimulus, ProgramZeroMatchesTheUnfusedStimulusBitForBit) {
       sc::make_sc_inputs({0.4}, {coeffs[0]}, {3}, 640, config);
 
   ASSERT_EQ(fused.programs.size(), 3u);
-  ASSERT_EQ(fused.orders(), std::vector<std::size_t>{3});
+  ASSERT_EQ(fused.axes.size(), 1u);
+  ASSERT_EQ(fused.axes[0].size(), 3u);
   ASSERT_EQ(fused.length(), 640u);
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_EQ(fused.axes[0][i], single.axes[0][i]) << "x stream " << i;

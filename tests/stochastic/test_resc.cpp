@@ -18,13 +18,13 @@ TEST(ScInputsTest, SelectCountsOnes) {
   EXPECT_EQ(in.select(0, 0), 2u);
   EXPECT_EQ(in.select(0, 1), 0u);
   EXPECT_EQ(in.select(0, 2), 1u);
-  EXPECT_EQ(in.orders(), std::vector<std::size_t>{2});
+  EXPECT_EQ(in.axes[0].size(), 2u);
   EXPECT_EQ(in.length(), 3u);
 }
 
 TEST(ScInputsTest, EmptyInputsAreOrderZeroWithZeroLength) {
   const ScInputs in;
-  EXPECT_TRUE(in.orders().empty());
+  EXPECT_TRUE(in.axes.empty());
   EXPECT_EQ(in.length(), 0u);
 }
 
