@@ -12,7 +12,9 @@
 ///     program, at stream lengths 1/63/64/65/4095 and BER 0 and 1e-2;
 ///   * one 2-program BatchRunner::run_fused request per dense arity;
 ///   * the ProgramServer::handle_json response bytes (trace id and
-///     latency fields masked) for xs, xs+ys, inputs and fused requests.
+///     latency fields masked) for xs, xs+ys, inputs and fused requests,
+///     and for the one- and two-axis "inputs" spellings of the xs and
+///     xs+ys requests (which must answer with the same bytes).
 ///
 /// Each case runs under every available SIMD backend.
 
@@ -554,6 +556,34 @@ TEST(SeparableGoldenOutputs, ServedResponseBytes) {
     for (const auto& [key, line] : kRequests) {
       EXPECT_EQ(golden(kResponseGolden, key), masked(server.handle_json(line)))
           << key << " [" << backend_name(backend) << "]";
+    }
+  }
+}
+
+/// The "xs" and "xs_ys" requests re-spelled with one and two "inputs"
+/// axes: a superset wire format, so the response bytes are the legacy
+/// spellings' bytes.
+const std::vector<std::pair<std::string, std::string>> kInputsRequests = {
+    {"xs",
+     R"({"id":"g1","function":"sigmoid","inputs":[[0.2,0.7]],)"
+     R"("stream_lengths":[63,4095],"repeats":2,"seed":7})"},
+    {"xs_ys",
+     R"({"id":"g2","coefficients":[[0.1,0.5,0.9],[0.7,0.2,0.4]],)"
+     R"("inputs":[[0.2,0.7],[0.4,0.9]],"stream_lengths":[65],)"
+     R"("repeats":2,"seed":8,"probe_power_mw":0.15})"},
+};
+
+TEST(SeparableGoldenOutputs, OneAndTwoAxisInputsServeLegacyBytes) {
+  for (oscs::SimdBackend backend : available_backends()) {
+    ScopedBackend scope(backend);
+    serve::ServerOptions options;
+    options.compile.certify = false;
+    options.threads = 2;
+    serve::ProgramServer server(options);
+    for (const auto& [key, line] : kInputsRequests) {
+      EXPECT_EQ(golden(kResponseGolden, key), masked(server.handle_json(line)))
+          << "inputs spelling of " << key << " [" << backend_name(backend)
+          << "]";
     }
   }
 }
