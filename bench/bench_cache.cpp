@@ -48,25 +48,13 @@ std::size_t serve_full_registry(sv::ProgramServer& server,
       ++failed;
     }
   };
-  for (const std::string& id : compile::registry_ids()) {
-    check(R"({"function": ")" + id + R"(", "xs": [0.25, 0.75])" + tail);
-  }
-  for (const std::string& id : compile::registry2_ids()) {
-    check(R"({"function": ")" + id + R"(", "xs": [0.25], "ys": [0.5])" +
-          tail);
-  }
-  for (const std::string& id : compile::registry_nd_ids()) {
-    const compile::RegistryFunctionN* fn = compile::find_function_nd(id);
-    if (fn == nullptr) {
-      ++failed;
-      continue;
-    }
+  for (const compile::RegistryEntry& entry : compile::registry_entries()) {
     std::string inputs = R"(, "inputs": [)";
-    for (std::size_t axis = 0; axis < fn->arity; ++axis) {
+    for (std::size_t axis = 0; axis < entry.arity; ++axis) {
       inputs += axis == 0 ? "[0.25, 0.75]" : ", [0.25, 0.75]";
     }
     inputs += "]";
-    check(R"({"function": ")" + id + R"(")" + inputs + tail);
+    check(R"({"function": ")" + entry.id + R"(")" + inputs + tail);
   }
   return failed;
 }
@@ -100,9 +88,7 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(std::max(1L, args.get_int("repeats")));
   const bool certify = args.flag("certify");
 
-  const std::size_t registry_total = compile::registry_ids().size() +
-                                     compile::registry2_ids().size() +
-                                     compile::registry_nd_ids().size();
+  const std::size_t registry_total = compile::registry_entries().size();
 
   bench::banner("Persistent program cache - cold compile vs prewarm");
 

@@ -13,6 +13,7 @@
 #include "common/cli.hpp"
 #include "common/csv.hpp"
 #include "compile/compiler.hpp"
+#include "compile/registry.hpp"
 
 using namespace oscs;
 namespace cc = oscs::compile;
@@ -60,7 +61,7 @@ int main(int argc, char** argv) {
   double total_cold_ms = 0.0;
   for (const cc::RegistryFunction& fn : cc::function_registry()) {
     const auto t0 = std::chrono::steady_clock::now();
-    const auto program = compiler.compile(fn);
+    const auto program = compiler.compile(fn.id);
     const double cold_ms = ms_since(t0);
     total_cold_ms += cold_ms;
     const cc::ProjectionResult& proj = program->projection();
@@ -89,7 +90,7 @@ int main(int argc, char** argv) {
   const auto t0 = std::chrono::steady_clock::now();
   for (long r = 0; r < requests; ++r) {
     for (const cc::RegistryFunction& fn : cc::function_registry()) {
-      (void)compiler.compile(fn);
+      (void)compiler.compile(fn.id);
     }
   }
   const double warm_ms = ms_since(t0);

@@ -18,6 +18,7 @@
 #include "compile/autotune.hpp"
 #include "compile/compiler.hpp"
 #include "compile/export.hpp"
+#include "compile/registry.hpp"
 
 using namespace oscs;
 namespace cc = oscs::compile;

@@ -82,10 +82,10 @@ int main(int argc, char** argv) {
     Entry entry;
     entry.id = fn.id;
     const auto t_cold = std::chrono::steady_clock::now();
-    const auto program = compiler.compile_nd(fn);
+    const auto program = compiler.compile_nd(fn.id);
     entry.cold_seconds = seconds_since(t_cold);
     const auto t_warm = std::chrono::steady_clock::now();
-    (void)compiler.compile_nd(fn);  // warm hit: same key, no pipeline
+    (void)compiler.compile_nd(fn.id);  // warm hit: same key, no pipeline
     entry.warm_seconds = seconds_since(t_warm);
 
     const cc::ProjectionResultN& projection = program->projection_nd();

@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
   // 1. Compile: tensor-product projection, comparator-grid quantization,
   //    two-input kernel codegen, (x, y)-grid certification.
   cc::Compiler compiler;
-  const auto program = compiler.compile2(*fn);
+  const auto program = compiler.compile2(fn->id);
   std::printf("compiled %s = %s at degree (%zu, %zu)\n", fn->id.c_str(),
               fn->expression.c_str(), program->circuit_order(),
               program->circuit_order_y());

@@ -13,6 +13,7 @@
 
 #include "common/cli.hpp"
 #include "compile/compiler.hpp"
+#include "compile/registry.hpp"
 
 using namespace oscs;
 namespace cc = oscs::compile;
@@ -65,7 +66,7 @@ int run_demo(int argc, char** argv) {
               options.sng_width);
 
   auto t0 = std::chrono::steady_clock::now();
-  const auto program = compiler.compile(*fn);
+  const auto program = compiler.compile(fn->id);
   const double cold_ms = ms_since(t0);
 
   const cc::ProjectionResult& proj = program->projection();
@@ -105,7 +106,7 @@ int run_demo(int argc, char** argv) {
   // A repeated request is served from the program cache without
   // re-solving.
   t0 = std::chrono::steady_clock::now();
-  const auto again = compiler.compile(*fn);
+  const auto again = compiler.compile(fn->id);
   const double warm_ms = ms_since(t0);
   std::printf("\nprogram cache: cold compile %.2f ms, repeat request "
               "%.4f ms (%s, %zu hit%s)\n",

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <limits>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
-#include "compile/compiler.hpp"
 #include "compile/registry.hpp"
 
 namespace oscs::compile {
@@ -30,19 +30,17 @@ void AutoTuneOptions::validate() const {
   }
 }
 
-namespace {
-
-/// One arity's compile step: the uncertified program for a (degree cap,
-/// SNG width) candidate.
-using CompileCandidate = std::function<std::shared_ptr<const CompiledProgram>(
-    std::size_t degree, unsigned width)>;
-
-/// The arity-generic walk behind every auto_tune entry point.
-AutoTuneResult tune(
-    std::size_t arity,
-    const std::function<double(const std::vector<double>&)>& f,
-    double accuracy_budget, const AutoTuneOptions& options,
-    const CompileCandidate& compile_candidate) {
+AutoTuneResult auto_tune(const std::string& registry_id,
+                         double accuracy_budget,
+                         const AutoTuneOptions& options) {
+  const std::optional<RegistryProgram> entry =
+      registry_program(registry_id, CompileOptions{});
+  if (!entry) {
+    throw std::invalid_argument("auto_tune: unknown registry function '" +
+                                registry_id + "'");
+  }
+  const std::size_t arity = entry->arity();
+  const auto& f = entry->reference;
   if (!(accuracy_budget > 0.0)) {
     throw std::invalid_argument("auto_tune: accuracy budget must be > 0");
   }
@@ -101,7 +99,16 @@ AutoTuneResult tune(
   for (const Candidate& cand : candidates) {
     Fit& fit = fits[{cand.degree, cand.width}];
     if (!fit.program) {
-      fit.program = compile_candidate(cand.degree, cand.width);
+      // The candidate degree caps every axis (the request-degree rule)
+      // and may reach down to a constant fit; the tuner certifies at its
+      // own lengths.
+      CompileOptions base;
+      base.projection.min_degree = std::min<std::size_t>(1, cand.degree);
+      base.projection2.min_degree_x = base.projection.min_degree;
+      base.projection2.min_degree_y = base.projection.min_degree;
+      base.sng_width = cand.width;
+      base.certify = false;
+      fit.program = registry_program(registry_id, base, cand.degree)->build();
       // The deterministic floor the MC MAE converges to as streams grow
       // (mean, not sup, to match the MAE metric).
       fit.floor = dense_error(*fit.program, f, arity == 1 ? 512 : 64).mean;
@@ -147,56 +154,6 @@ AutoTuneResult tune(
     }
   }
   return result;
-}
-
-}  // namespace
-
-AutoTuneResult auto_tune(const std::string& function_id,
-                         const std::function<double(double)>& f,
-                         double accuracy_budget,
-                         const AutoTuneOptions& options) {
-  return tune(
-      1, [&](const std::vector<double>& p) { return f(p[0]); },
-      accuracy_budget, options, [&](std::size_t degree, unsigned width) {
-        CompileOptions copt;
-        copt.projection.min_degree = std::min<std::size_t>(1, degree);
-        copt.projection.max_degree = degree;
-        copt.sng_width = width;
-        copt.certify = false;  // the tuner certifies at its own lengths
-        return compile_function(function_id, f, copt);
-      });
-}
-
-AutoTuneResult auto_tune2(const std::string& function_id,
-                          const std::function<double(double, double)>& f,
-                          double accuracy_budget,
-                          const AutoTuneOptions& options) {
-  return tune(
-      2, [&](const std::vector<double>& p) { return f(p[0], p[1]); },
-      accuracy_budget, options, [&](std::size_t degree, unsigned width) {
-        CompileOptions copt;
-        copt.projection2.min_degree_x = std::min<std::size_t>(1, degree);
-        copt.projection2.min_degree_y = copt.projection2.min_degree_x;
-        copt.projection2.max_degree_x = degree;
-        copt.projection2.max_degree_y = degree;
-        copt.sng_width = width;
-        copt.certify = false;  // the tuner certifies at its own lengths
-        return compile_function2(function_id, f, copt);
-      });
-}
-
-AutoTuneResult auto_tune(const std::string& registry_id,
-                         double accuracy_budget,
-                         const AutoTuneOptions& options) {
-  if (const RegistryFunction* fn = find_function(registry_id)) {
-    return auto_tune(fn->id, fn->f, accuracy_budget, options);
-  }
-  if (const RegistryFunction2* fn2 = find_function2(registry_id)) {
-    return auto_tune2(fn2->id, fn2->f, accuracy_budget, options);
-  }
-  throw std::invalid_argument("auto_tune: '" + registry_id +
-                              "' is not a univariate or bivariate registry "
-                              "function");
 }
 
 }  // namespace oscs::compile

@@ -6,18 +6,18 @@
 ///        whose certified MC MAE (plus its CI half-width) meets a user
 ///        accuracy budget (ROADMAP "degree/width auto-tuning").
 ///
-/// One walk serves every arity; each arity supplies only its compile step.
+/// One walk serves every arity; the registry resolves each candidate's
+/// compile step.
 /// The cost model is a bit-operations proxy: stream_length *
 /// (degree + 1)^arity * width - stream bits dominate latency/energy, the
 /// coefficient channels of every input bank and the SNG resolution scale
 /// the hardware. Candidates whose deterministic approximation floor
 /// (dense-grid mean |program - f|, 512 samples per axis for one input, 64
-/// for two) already exceeds the budget are rejected without spending
+/// for more) already exceeds the budget are rejected without spending
 /// Monte-Carlo on any stream length.
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -68,35 +68,19 @@ struct AutoTuneResult {
   std::vector<AutoTuneCandidate> trace;  ///< every candidate visited
 };
 
-/// Walk (degree, width, stream length) candidates in increasing cost and
-/// return the first - hence cheapest - configuration whose certified
-/// mc_mae + mc_mae_ci <= accuracy_budget. When none meets it, `met` is
-/// false and `chosen`/`program` hold the best (lowest-MAE) configuration
-/// seen. Deterministic for a fixed seed.
-/// \throws std::invalid_argument on invalid options or a non-positive
-///         budget.
-[[nodiscard]] AutoTuneResult auto_tune(
-    const std::string& function_id, const std::function<double(double)>& f,
-    double accuracy_budget, const AutoTuneOptions& options = {});
-
-/// Registry convenience: tune a built-in univariate or bivariate function
-/// by id.
-/// \throws std::invalid_argument on an id in neither catalogue (N-ary
-///         registry entries included).
+/// Tune registry function `registry_id` (any catalogue): walk (degree,
+/// width, stream length) candidates in increasing cost and return the
+/// first - hence cheapest - configuration whose certified
+/// mc_mae + mc_mae_ci <= accuracy_budget. A degree candidate caps every
+/// axis, as a request "degree" does (max_degree, both per-axis caps of a
+/// bivariate fit, an N-ary factor degree); certification runs on the
+/// grid_points^arity MC grid. When no candidate meets the budget, `met`
+/// is false and `chosen`/`program` hold the best (lowest-MAE)
+/// configuration seen. Deterministic for a fixed seed.
+/// \throws std::invalid_argument on an unknown id, invalid options or a
+///         non-positive budget.
 [[nodiscard]] AutoTuneResult auto_tune(const std::string& registry_id,
                                        double accuracy_budget,
                                        const AutoTuneOptions& options = {});
-
-/// Bivariate auto-tune over the same (degree, width, stream length) walk:
-/// each degree candidate becomes a symmetric per-axis cap (max_degree_x =
-/// max_degree_y = degree) and project2's per-axis selection picks the
-/// cheapest (deg_x, deg_y) under it; certification runs on the
-/// grid_points x grid_points (x, y) MC grid.
-/// \throws std::invalid_argument on invalid options or a non-positive
-///         budget.
-[[nodiscard]] AutoTuneResult auto_tune2(
-    const std::string& function_id,
-    const std::function<double(double, double)>& f, double accuracy_budget,
-    const AutoTuneOptions& options = {});
 
 }  // namespace oscs::compile

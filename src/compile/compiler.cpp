@@ -2,10 +2,12 @@
 
 #include <chrono>
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
 #include "common/binio.hpp"
+#include "compile/registry.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -91,6 +93,22 @@ std::shared_ptr<const CompiledProgram> run_pipeline(
   }
   cold_histogram().record(us_between(t0, std::chrono::steady_clock::now()));
   return program;
+}
+
+/// Registry entry `id` at `defaults`, for the by-id compile entry points:
+/// each serves one catalogue - the entries of arity [min_arity,
+/// max_arity] - and names it (`kind`) when `id` is not there.
+RegistryProgram catalogue_program(const std::string& id,
+                                  const CompileOptions& defaults,
+                                  std::size_t min_arity, std::size_t max_arity,
+                                  const char* kind) {
+  std::optional<RegistryProgram> program = registry_program(id, defaults);
+  if (!program || program->arity() < min_arity ||
+      program->arity() > max_arity) {
+    throw std::invalid_argument(std::string("Compiler: unknown ") + kind +
+                                "registry function '" + id + "'");
+  }
+  return std::move(*program);
 }
 
 }  // namespace
@@ -182,20 +200,13 @@ std::shared_ptr<const CompiledProgram> Compiler::compile(
 }
 
 std::shared_ptr<const CompiledProgram> Compiler::compile(
-    const RegistryFunction& fn) {
-  CompileOptions options = defaults_;
-  options.projection.max_degree = fn.degree;
-  return compile(fn.id, fn.f, options);
+    const RegistryProgram& program) {
+  return cache_.get_or_compile(program.key, program.build);
 }
 
 std::shared_ptr<const CompiledProgram> Compiler::compile(
     const std::string& function_id) {
-  const RegistryFunction* fn = find_function(function_id);
-  if (fn == nullptr) {
-    throw std::invalid_argument("Compiler: unknown registry function '" +
-                                function_id + "'");
-  }
-  return compile(*fn);
+  return compile(catalogue_program(function_id, defaults_, 1, 1, ""));
 }
 
 std::shared_ptr<const CompiledProgram> compile_function2(
@@ -233,22 +244,9 @@ std::shared_ptr<const CompiledProgram> Compiler::compile2(
 }
 
 std::shared_ptr<const CompiledProgram> Compiler::compile2(
-    const RegistryFunction2& fn) {
-  CompileOptions options = defaults_;
-  options.projection2.max_degree_x = fn.degree_x;
-  options.projection2.max_degree_y = fn.degree_y;
-  return compile2(fn.id, fn.f, options);
-}
-
-std::shared_ptr<const CompiledProgram> Compiler::compile2(
     const std::string& function_id) {
-  const RegistryFunction2* fn = find_function2(function_id);
-  if (fn == nullptr) {
-    throw std::invalid_argument(
-        "Compiler: unknown bivariate registry function '" + function_id +
-        "'");
-  }
-  return compile2(*fn);
+  return compile(
+      catalogue_program(function_id, defaults_, 2, 2, "bivariate "));
 }
 
 std::shared_ptr<const CompiledProgram> compile_function_nd(
@@ -307,21 +305,9 @@ std::shared_ptr<const CompiledProgram> Compiler::compile_nd(
 }
 
 std::shared_ptr<const CompiledProgram> Compiler::compile_nd(
-    const RegistryFunctionN& fn) {
-  CompileOptions options = defaults_;
-  options.projection_nd.degree = fn.degree;
-  options.projection_nd.max_terms = fn.max_terms;
-  return compile_nd(fn.id, fn.arity, fn.f, options);
-}
-
-std::shared_ptr<const CompiledProgram> Compiler::compile_nd(
     const std::string& function_id) {
-  const RegistryFunctionN* fn = find_function_nd(function_id);
-  if (fn == nullptr) {
-    throw std::invalid_argument("Compiler: unknown N-ary registry function '" +
-                                function_id + "'");
-  }
-  return compile_nd(*fn);
+  return compile(
+      catalogue_program(function_id, defaults_, 3, SIZE_MAX, "N-ary "));
 }
 
 }  // namespace oscs::compile

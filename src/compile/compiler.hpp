@@ -16,9 +16,10 @@
 #include "compile/certify.hpp"
 #include "compile/fit.hpp"
 #include "compile/program.hpp"
-#include "compile/registry.hpp"
 
 namespace oscs::compile {
+
+struct RegistryProgram;  // compile/registry.hpp
 
 /// Per-request (and compiler-default) pipeline controls. `projection`
 /// steers univariate compiles, `projection2` the bivariate path - one
@@ -73,13 +74,15 @@ class Compiler {
       const std::string& function_id, const std::function<double(double)>& f,
       const CompileOptions& options);
 
-  /// Compile a registry entry; its recommended degree becomes the degree
-  /// cap.
+  /// Compile a resolved registry program (see registry_program()) under
+  /// its own key and options.
   [[nodiscard]] std::shared_ptr<const CompiledProgram> compile(
-      const RegistryFunction& fn);
+      const RegistryProgram& program);
 
-  /// Compile a registry entry by id.
-  /// \throws std::invalid_argument on an unknown id.
+  /// Compile a univariate registry entry by id at the compiler defaults;
+  /// its recommended degree becomes the degree cap.
+  /// \throws std::invalid_argument on an id outside the univariate
+  ///         catalogue.
   [[nodiscard]] std::shared_ptr<const CompiledProgram> compile(
       const std::string& function_id);
 
@@ -96,13 +99,10 @@ class Compiler {
       const std::function<double(double, double)>& f,
       const CompileOptions& options);
 
-  /// Compile a bivariate registry entry; its recommended per-axis degrees
-  /// become the degree caps.
-  [[nodiscard]] std::shared_ptr<const CompiledProgram> compile2(
-      const RegistryFunction2& fn);
-
-  /// Compile a bivariate registry entry by id.
-  /// \throws std::invalid_argument on an unknown id.
+  /// Compile a bivariate registry entry by id at the compiler defaults;
+  /// its recommended per-axis degrees become the degree caps.
+  /// \throws std::invalid_argument on an id outside the bivariate
+  ///         catalogue.
   [[nodiscard]] std::shared_ptr<const CompiledProgram> compile2(
       const std::string& function_id);
 
@@ -120,13 +120,9 @@ class Compiler {
       const std::function<double(const std::vector<double>&)>& f,
       const CompileOptions& options);
 
-  /// Compile an N-ary registry entry; its recommended factor degree and
-  /// rank budget become the projection caps.
-  [[nodiscard]] std::shared_ptr<const CompiledProgram> compile_nd(
-      const RegistryFunctionN& fn);
-
-  /// Compile an N-ary registry entry by id.
-  /// \throws std::invalid_argument on an unknown id.
+  /// Compile an N-ary registry entry by id at the compiler defaults; its
+  /// recommended factor degree and rank budget become the projection caps.
+  /// \throws std::invalid_argument on an id outside the N-ary catalogue.
   [[nodiscard]] std::shared_ptr<const CompiledProgram> compile_nd(
       const std::string& function_id);
 

@@ -4,6 +4,18 @@
 
 namespace oscs::compile {
 
+namespace {
+
+template <typename Catalogue>
+std::vector<std::string> ids_of(const Catalogue& catalogue) {
+  std::vector<std::string> ids;
+  ids.reserve(catalogue.size());
+  for (const auto& fn : catalogue) ids.push_back(fn.id);
+  return ids;
+}
+
+}  // namespace
+
 const std::vector<RegistryFunction>& function_registry() {
   // Every entry maps [0,1] into [0,1] so the Bernstein coefficients stay
   // implementable without heavy constraint distortion; steep or
@@ -28,20 +40,11 @@ const std::vector<RegistryFunction>& function_registry() {
 }
 
 const RegistryFunction* find_function(std::string_view id) {
-  for (const RegistryFunction& fn : function_registry()) {
-    if (fn.id == id) return &fn;
-  }
-  return nullptr;
+  const RegistryEntry* entry = find_registry_entry(id);
+  return entry == nullptr ? nullptr : entry->fn;
 }
 
-std::vector<std::string> registry_ids() {
-  std::vector<std::string> ids;
-  ids.reserve(function_registry().size());
-  for (const RegistryFunction& fn : function_registry()) {
-    ids.push_back(fn.id);
-  }
-  return ids;
-}
+std::vector<std::string> registry_ids() { return ids_of(function_registry()); }
 
 const std::vector<RegistryFunction2>& function_registry2() {
   // The image-compositing workload class the tensor-product ReSC opens:
@@ -65,19 +68,12 @@ const std::vector<RegistryFunction2>& function_registry2() {
 }
 
 const RegistryFunction2* find_function2(std::string_view id) {
-  for (const RegistryFunction2& fn : function_registry2()) {
-    if (fn.id == id) return &fn;
-  }
-  return nullptr;
+  const RegistryEntry* entry = find_registry_entry(id);
+  return entry == nullptr ? nullptr : entry->fn2;
 }
 
 std::vector<std::string> registry2_ids() {
-  std::vector<std::string> ids;
-  ids.reserve(function_registry2().size());
-  for (const RegistryFunction2& fn : function_registry2()) {
-    ids.push_back(fn.id);
-  }
-  return ids;
+  return ids_of(function_registry2());
 }
 
 const std::vector<RegistryFunctionN>& function_registry_nd() {
@@ -108,19 +104,80 @@ const std::vector<RegistryFunctionN>& function_registry_nd() {
 }
 
 const RegistryFunctionN* find_function_nd(std::string_view id) {
-  for (const RegistryFunctionN& fn : function_registry_nd()) {
-    if (fn.id == id) return &fn;
+  const RegistryEntry* entry = find_registry_entry(id);
+  return entry == nullptr ? nullptr : entry->fn_nd;
+}
+
+std::vector<std::string> registry_nd_ids() {
+  return ids_of(function_registry_nd());
+}
+
+const std::vector<RegistryEntry>& registry_entries() {
+  static const std::vector<RegistryEntry> kEntries = [] {
+    std::vector<RegistryEntry> entries;
+    for (const RegistryFunction& fn : function_registry()) {
+      entries.push_back({fn.id, 1, &fn, nullptr, nullptr});
+    }
+    for (const RegistryFunction2& fn : function_registry2()) {
+      entries.push_back({fn.id, 2, nullptr, &fn, nullptr});
+    }
+    for (const RegistryFunctionN& fn : function_registry_nd()) {
+      entries.push_back({fn.id, fn.arity, nullptr, nullptr, &fn});
+    }
+    return entries;
+  }();
+  return kEntries;
+}
+
+const RegistryEntry* find_registry_entry(std::string_view id) {
+  for (const RegistryEntry& entry : registry_entries()) {
+    if (entry.id == id) return &entry;
   }
   return nullptr;
 }
 
-std::vector<std::string> registry_nd_ids() {
-  std::vector<std::string> ids;
-  ids.reserve(function_registry_nd().size());
-  for (const RegistryFunctionN& fn : function_registry_nd()) {
-    ids.push_back(fn.id);
+std::optional<RegistryProgram> registry_program(
+    std::string_view id, const CompileOptions& base,
+    std::optional<std::size_t> degree) {
+  const RegistryEntry* entry = find_registry_entry(id);
+  if (entry == nullptr) return std::nullopt;
+  RegistryProgram program;
+  CompileOptions& options = program.options;
+  options = base;
+  // The catalogues are function-local statics, so the closures below may
+  // hold plain pointers into them.
+  if (const RegistryFunction* fn = entry->fn) {
+    options.projection.max_degree = degree.value_or(fn->degree);
+    program.key = make_program_key(fn->id, options);
+    program.reference = [fn](const std::vector<double>& p) {
+      return fn->f(p[0]);
+    };
+    program.build = [fn, options] {
+      return compile_function(fn->id, fn->f, options);
+    };
+  } else if (const RegistryFunction2* fn2 = entry->fn2) {
+    options.projection2.max_degree_x = degree.value_or(fn2->degree_x);
+    options.projection2.max_degree_y = degree.value_or(fn2->degree_y);
+    program.key = make_program_key2(fn2->id, options);
+    program.reference = [fn2](const std::vector<double>& p) {
+      return fn2->f(p[0], p[1]);
+    };
+    program.build = [fn2, options] {
+      return compile_function2(fn2->id, fn2->f, options);
+    };
+  } else {
+    const RegistryFunctionN* fn_nd = entry->fn_nd;
+    options.projection_nd.degree = degree.value_or(fn_nd->degree);
+    options.projection_nd.max_terms = fn_nd->max_terms;
+    program.key = make_program_key_nd(fn_nd->id, fn_nd->arity, options);
+    program.reference = [fn_nd](const std::vector<double>& p) {
+      return fn_nd->f(p);
+    };
+    program.build = [fn_nd, options] {
+      return compile_function_nd(fn_nd->id, fn_nd->arity, fn_nd->f, options);
+    };
   }
-  return ids;
+  return program;
 }
 
 }  // namespace oscs::compile

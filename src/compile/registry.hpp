@@ -5,12 +5,23 @@
 ///        and the serving path can request "sigmoid" instead of shipping a
 ///        lambda. All entries compile at degree <= 6 with certified MC MAE
 ///        <= 0.02 at 4096-bit streams (tests/compile/test_compiler.cpp).
+///
+/// Three typed catalogues (univariate, bivariate, N-ary) hold the
+/// functions; one arity-blind lookup (find_registry_entry) finds an id in
+/// whichever holds it, and registry_program() is the one place a registry
+/// id becomes compile options, a cache key and a point reference - the
+/// compiler, the server's prewarm and resolve paths and auto_tune all go
+/// through it.
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "compile/compiler.hpp"
 
 namespace oscs::compile {
 
@@ -75,5 +86,52 @@ struct RegistryFunctionN {
 
 /// All N-ary registry ids, in catalogue order.
 [[nodiscard]] std::vector<std::string> registry_nd_ids();
+
+/// One registry entry, whichever catalogue holds it: exactly one of
+/// `fn`/`fn2`/`fn_nd` is set.
+struct RegistryEntry {
+  std::string id;
+  std::size_t arity = 1;  ///< input count
+  const RegistryFunction* fn = nullptr;      ///< univariate entries
+  const RegistryFunction2* fn2 = nullptr;    ///< bivariate entries
+  const RegistryFunctionN* fn_nd = nullptr;  ///< N-ary entries
+};
+
+/// Every entry of the three catalogues: univariate, then bivariate, then
+/// N-ary, each in catalogue order. Built once.
+[[nodiscard]] const std::vector<RegistryEntry>& registry_entries();
+
+/// Arity-blind lookup by id; nullptr when no catalogue holds it.
+[[nodiscard]] const RegistryEntry* find_registry_entry(std::string_view id);
+
+/// A registry id made ready to compile and serve.
+struct RegistryProgram {
+  /// The base options with the degree caps applied: the registry's
+  /// recommendation, or the request degree (which caps both axes of a
+  /// bivariate entry and is an N-ary entry's factor degree). N-ary
+  /// entries also take their rank budget from the registry.
+  CompileOptions options{};
+  ProgramKey key{};  ///< cache key of (id, options)
+  /// The catalogue function over one point (one coordinate per input):
+  /// the reference certificates and shadow checks compare against.
+  std::function<double(const std::vector<double>&)> reference;
+  /// The uncached pipeline run under `options` - what Compiler::compile
+  /// caches under `key`.
+  ProgramCache::Factory build;
+
+  [[nodiscard]] std::size_t arity() const noexcept { return key.arity; }
+  /// The largest degree cap, which cold-compile admission weighs (the
+  /// pipeline cost grows with every axis's degree).
+  [[nodiscard]] std::size_t admission_degree() const noexcept {
+    return std::max(key.degree, key.degree_y);
+  }
+};
+
+/// Resolve registry `id` against `base` options, with an optional request
+/// `degree` overriding the recommended caps; nullopt when `id` is in no
+/// catalogue.
+[[nodiscard]] std::optional<RegistryProgram> registry_program(
+    std::string_view id, const CompileOptions& base,
+    std::optional<std::size_t> degree = std::nullopt);
 
 }  // namespace oscs::compile

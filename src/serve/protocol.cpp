@@ -141,6 +141,42 @@ oscs::OperatingPoint parse_operating_point(const JsonValue& v) {
   return op;
 }
 
+/// Shared arity-guard rules render the wire-style strings; an empty
+/// result means the rule holds.
+void raise(const std::string& message) {
+  if (!message.empty()) bad_request(message);
+}
+
+/// validate_evaluate's rules, with input axis k named `axis_names[k]` -
+/// the wire member it came from - or, past the list, 'inputs[k]'. The
+/// range check runs last.
+void check_evaluate(const ServeRequest& req,
+                    const std::vector<std::string>& axis_names) {
+  const auto name = [&](std::size_t axis) {
+    return axis < axis_names.size() ? axis_names[axis]
+                                    : "inputs[" + std::to_string(axis) + "]";
+  };
+  if (req.programs.empty()) bad_request("evaluate request names no programs");
+  for (std::size_t axis = 0; axis < req.inputs.size(); ++axis) {
+    raise(arity::nonempty_error(arity::kWireStyle, name(axis),
+                                req.inputs[axis].size()));
+    raise(arity::pairwise_error(arity::kWireStyle, name(0),
+                                req.inputs.front().size(), name(axis),
+                                req.inputs[axis].size()));
+  }
+  if (req.stream_lengths.empty()) {
+    bad_request("'stream_lengths' must be nonempty");
+  }
+  if (req.repeats == 0) bad_request("'repeats' must be positive");
+  raise(arity::both_error(arity::kWireStyle, "operating_point",
+                          "probe_power_mw", req.operating_point.has_value(),
+                          req.probe_power_mw.has_value()));
+  for (std::size_t axis = 0; axis < req.inputs.size(); ++axis) {
+    raise(arity::unit_range_error(arity::kWireStyle, name(axis),
+                                  req.inputs[axis]));
+  }
+}
+
 }  // namespace
 
 ServeRequest parse_request(const std::string& text) {
@@ -157,7 +193,9 @@ ServeRequest parse_request(const std::string& text) {
   ProgramSpec sugar;
   bool has_sugar_fn = false;
   bool has_sugar_raw = false;
-  // Single-point "y" sugar, merged with "ys" after the loop.
+  // The legacy point spellings, lowered onto `inputs` after the loop.
+  std::vector<double> xs;
+  std::vector<double> ys;
   std::optional<double> y_sugar;
   bool has_ys = false;
 
@@ -196,9 +234,9 @@ ServeRequest parse_request(const std::string& text) {
     } else if (key == "degree") {
       sugar.degree = static_cast<std::size_t>(member_uint(value, "degree"));
     } else if (key == "xs") {
-      req.xs = number_array(value, "xs");
+      xs = number_array(value, "xs");
     } else if (key == "ys") {
-      req.ys = number_array(value, "ys");
+      ys = number_array(value, "ys");
       has_ys = true;
     } else if (key == "y") {
       y_sugar = member_number(value, "y");
@@ -248,55 +286,37 @@ ServeRequest parse_request(const std::string& text) {
     bad_request("'degree' needs a top-level 'function'");
   }
 
-  // Shared arity-guard rules render the wire-style strings; an empty
-  // result means the rule holds.
-  const auto raise = [](const std::string& message) {
-    if (!message.empty()) bad_request(message);
-  };
+  raise(arity::both_error(arity::kWireStyle, "y", "ys", y_sugar.has_value(),
+                          has_ys));
+  if (req.op != RequestOp::kEvaluate) return req;
 
-  if (y_sugar.has_value()) {
-    raise(arity::both_error(arity::kWireStyle, "y", "ys", true, has_ys));
-    // The single-point sugar broadcasts over every x (mirroring how one
-    // "y" naturally reads against an "xs" array).
-    req.ys.assign(req.xs.empty() ? 1 : req.xs.size(), *y_sugar);
+  std::vector<std::string> axis_names;
+  if (!req.inputs.empty()) {
+    // "inputs" carries every coordinate; mixing it with the legacy
+    // members would leave the point pairing ambiguous.
+    raise(arity::both_error(arity::kWireStyle, "inputs", "xs", true,
+                            !xs.empty()));
+    raise(arity::both_error(arity::kWireStyle, "inputs", "ys", true,
+                            !ys.empty()));
+    raise(arity::both_error(arity::kWireStyle, "inputs", "y", true,
+                            y_sugar.has_value()));
+  } else {
+    // "xs" is axis 0; "ys" - or the single-point "y" broadcast over every
+    // x - is axis 1.
+    axis_names = {"xs", y_sugar.has_value() ? "y" : "ys"};
+    if (y_sugar.has_value()) ys.assign(xs.size(), *y_sugar);
+    req.inputs.push_back(std::move(xs));
+    if (!ys.empty()) req.inputs.push_back(std::move(ys));
   }
-
-  if (req.op == RequestOp::kEvaluate) {
-    if (req.programs.empty()) {
-      bad_request("evaluate request names no programs");
-    }
-    if (!req.inputs.empty()) {
-      // The N-ary axes member carries every coordinate; mixing it with
-      // the legacy members would leave the point pairing ambiguous.
-      raise(arity::both_error(arity::kWireStyle, "inputs", "xs", true,
-                              !req.xs.empty()));
-      raise(arity::both_error(arity::kWireStyle, "inputs", "ys", true,
-                              !req.ys.empty()));
-      for (std::size_t axis = 0; axis < req.inputs.size(); ++axis) {
-        const std::string name = "inputs[" + std::to_string(axis) + "]";
-        raise(arity::nonempty_error(arity::kWireStyle, name,
-                                    req.inputs[axis].size()));
-        raise(arity::pairwise_error(arity::kWireStyle, "inputs[0]",
-                                    req.inputs.front().size(), name,
-                                    req.inputs[axis].size()));
-      }
-    } else {
-      raise(arity::nonempty_error(arity::kWireStyle, "xs", req.xs.size()));
-      if (!req.ys.empty()) {
-        raise(arity::pairwise_error(arity::kWireStyle, "xs", req.xs.size(),
-                                    "ys", req.ys.size()));
-      }
-    }
-    if (req.stream_lengths.empty()) {
-      bad_request("'stream_lengths' must be nonempty");
-    }
-    if (req.repeats == 0) bad_request("'repeats' must be positive");
-    raise(arity::both_error(arity::kWireStyle, "operating_point",
-                            "probe_power_mw",
-                            req.operating_point.has_value(),
-                            req.probe_power_mw.has_value()));
-  }
+  check_evaluate(req, axis_names);
   return req;
+}
+
+void validate_evaluate(const ServeRequest& request) {
+  if (request.inputs.empty()) {
+    bad_request("'inputs' must be a nonempty array of per-axis arrays");
+  }
+  check_evaluate(request, {});
 }
 
 std::string write_response(const ServeResponse& response) {
@@ -321,8 +341,8 @@ std::string write_response(const ServeResponse& response) {
       for (double coordinate : cell.point) json.value(coordinate);
       json.end_array();
     } else {
-      json.field("x", cell.x);
-      if (cell.bivariate) json.field("y", cell.y);
+      json.field("x", cell.point.at(0));
+      if (cell.point.size() == 2) json.field("y", cell.point[1]);
     }
     json.field("stream_length", cell.stream_length)
         .field("repeats", cell.repeats)

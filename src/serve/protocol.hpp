@@ -33,22 +33,18 @@
 /// Single-program sugar: a top-level "function" or "coefficients" member
 /// instead of "programs".
 ///
-/// Bivariate (tensor-product ReSC) requests name two-input programs -
-/// registry ids from the bivariate catalogue ("mul", "alpha_blend", ...)
-/// or a nested coefficient grid ("coefficients": [[...], [...]]) - and
-/// carry the second input coordinate as "ys" (an array pairing
-/// element-wise with "xs") or the single-point sugar "y". A request
-/// without "ys"/"y" takes the univariate path unchanged; arities cannot
-/// mix within one request.
-///
-/// N-ary requests carry every input axis in "inputs" - an array of
-/// per-axis coordinate arrays pairing element-wise (point k is column k
-/// across the axes) - and name functions from the N-ary separable
-/// catalogue ("rgb_luma", "trilinear_mix", ...). "inputs" excludes
-/// "xs"/"ys"/"y"; one or two axes are lowered onto the legacy
-/// univariate/bivariate paths, so "inputs" is a superset wire format.
-/// N-ary cells echo their coordinates as "inputs": [x0, x1, ...] instead
-/// of "x"/"y".
+/// Input points: every spelling lowers onto one form, a list of per-axis
+/// coordinate arrays pairing element-wise (point k is entry k of every
+/// axis). "xs" is axis 0 and "ys" axis 1 (the single-point sugar "y"
+/// broadcasts over every x); "inputs" carries every axis and excludes the
+/// other three, so one- and two-axis "inputs" requests answer exactly
+/// like their "xs"/"ys" spellings. The axis count is the request's arity,
+/// and every program must take that many inputs (arities cannot mix):
+/// univariate or bivariate registry ids and flat or nested ("coefficients":
+/// [[...], [...]]) coefficient programs for one or two axes, N-ary
+/// separable catalogue ids ("rgb_luma", "trilinear_mix", ...) above that.
+/// Cells of one or two axes echo "x" (and "y"); wider cells echo
+/// "inputs": [x0, x1, ...].
 ///
 /// Response (success):
 ///   {"id": ..., "ok": true, "trace_id": ..., "fused": bool,
@@ -100,8 +96,8 @@ class ServeError : public std::runtime_error {
   std::string reason_;
 };
 
-/// One program in a request: either a registry/compilable function id
-/// (univariate or bivariate catalogue) or raw Bernstein coefficients that
+/// One program in a request: either a registry function id (any
+/// catalogue) or raw Bernstein coefficients that
 /// bypass the compiler - a flat vector (univariate) or a nested
 /// row-major grid (bivariate tensor-product surface).
 struct ProgramSpec {
@@ -112,7 +108,8 @@ struct ProgramSpec {
   std::vector<std::vector<double>> coefficients2;
   std::string raw_id;                ///< optional display id for raw specs
   std::optional<std::size_t> degree;  ///< degree-cap override (function;
-                                      ///< per-axis cap for bivariate ids)
+                                      ///< per-axis cap for bivariate ids,
+                                      ///< factor degree for N-ary ids)
 
   [[nodiscard]] bool is_raw() const noexcept { return function_id.empty(); }
   [[nodiscard]] bool is_raw_bivariate() const noexcept {
@@ -139,14 +136,10 @@ struct ServeRequest {
   /// response carries the effective id as "trace_id" either way.
   std::string trace;
   std::vector<ProgramSpec> programs;
-  std::vector<double> xs;
-  /// Second input coordinate (bivariate requests): pairs element-wise
-  /// with `xs`. Empty selects the univariate path.
-  std::vector<double> ys;
-  /// N-ary input axes ("inputs" wire member): inputs[k] carries axis k's
-  /// coordinate for every evaluation point, all axes pairing element-wise.
-  /// Mutually exclusive with `xs`/`ys`; one or two axes are lowered onto
-  /// them before resolution.
+  /// Input axes: inputs[k] carries axis k's coordinate for every
+  /// evaluation point, all axes pairing element-wise; the axis count is
+  /// the request's arity. Every wire spelling lands here: "xs" is axis 0,
+  /// "ys" (or the broadcast "y") axis 1, "inputs" every axis.
   std::vector<std::vector<double>> inputs;
   std::vector<std::size_t> stream_lengths{4096};
   std::size_t repeats = 8;
@@ -158,19 +151,27 @@ struct ServeRequest {
   std::optional<double> probe_power_mw;
 };
 
-/// Parse and shape-validate one request document.
+/// Parse and shape-validate one request document. Each point member is
+/// checked under its own name ("xs", "ys", "y", "inputs[k]"), then lowered
+/// onto ServeRequest::inputs.
 /// \throws ServeError(400, "bad_request") on malformed JSON, unknown
-///         members, wrong types or out-of-range scalar values.
+///         members, wrong types, out-of-range values or any
+///         validate_evaluate rule.
 [[nodiscard]] ServeRequest parse_request(const std::string& text);
+
+/// The rules every evaluate request obeys (parse_request applies them to
+/// wire requests): at least one program; nonempty, element-wise paired
+/// input axes; nonempty stream lengths; positive repeats; at most one of
+/// operating_point/probe_power_mw; every coordinate finite and in [0, 1].
+/// Errors name axis k 'inputs[k]'.
+/// \throws ServeError(400, "bad_request") on the first rule broken.
+void validate_evaluate(const ServeRequest& request);
 
 /// One evaluation-grid cell of a response.
 struct CellResult {
   std::string program;  ///< display id of the program this cell belongs to
-  double x = 0.0;
-  bool bivariate = false;  ///< cell carries a y coordinate
-  double y = 0.0;          ///< second input coordinate (bivariate cells)
-  /// Full input point of an N-ary cell; serialized as "inputs" (instead
-  /// of "x"/"y") when it carries more than two coordinates.
+  /// The cell's input point, one coordinate per axis; serialized as "x"
+  /// (and "y") for one or two axes, as the "inputs" array above that.
   std::vector<double> point;
   std::size_t stream_length = 0;
   std::size_t repeats = 0;

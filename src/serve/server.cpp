@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "common/arity_guard.hpp"
 #include "common/json.hpp"
 #include "compile/registry.hpp"
 #include "engine/thread_pool.hpp"
@@ -168,52 +167,23 @@ PrewarmReport ProgramServer::prewarm(const PrewarmOptions& options) {
   if (!options.compile_missing) return report;
 
   // Resolve the manifest: the named registry functions, or - with an
-  // empty list - every entry across the three catalogues. Each entry
-  // carries its cache key (derived exactly like the serve resolve path:
-  // compiler defaults plus the registry degree, so a prewarmed program is
-  // the one traffic hits) and a compile thunk.
-  struct ManifestEntry {
-    std::string id;
-    compile::ProgramKey key;
-    std::function<void()> compile;
-  };
-  std::vector<ManifestEntry> manifest;
-  auto add_id = [&](const std::string& id) -> bool {
-    compile::CompileOptions opts = options_.compile;
-    if (const compile::RegistryFunction* fn = compile::find_function(id)) {
-      opts.projection.max_degree = fn->degree;
-      manifest.push_back({id, compile::make_program_key(id, opts),
-                          [this, fn] { (void)compiler_.compile(*fn); }});
-      return true;
+  // empty list - every registry entry. Each resolves exactly like the
+  // serve resolve path (compiler defaults plus the registry degree), so a
+  // prewarmed program is the one traffic hits.
+  std::vector<std::string> ids = options.functions;
+  if (ids.empty()) {
+    for (const compile::RegistryEntry& entry : compile::registry_entries()) {
+      ids.push_back(entry.id);
     }
-    if (const compile::RegistryFunction2* fn = compile::find_function2(id)) {
-      opts.projection2.max_degree_x = fn->degree_x;
-      opts.projection2.max_degree_y = fn->degree_y;
-      manifest.push_back({id, compile::make_program_key2(id, opts),
-                          [this, fn] { (void)compiler_.compile2(*fn); }});
-      return true;
-    }
-    if (const compile::RegistryFunctionN* fn = compile::find_function_nd(id)) {
-      opts.projection_nd.degree = fn->degree;
-      opts.projection_nd.max_terms = fn->max_terms;
-      manifest.push_back(
-          {id, compile::make_program_key_nd(id, fn->arity, opts),
-           [this, fn] { (void)compiler_.compile_nd(*fn); }});
-      return true;
-    }
-    return false;
-  };
-  if (options.functions.empty()) {
-    for (const std::string& id : compile::registry_ids()) add_id(id);
-    for (const std::string& id : compile::registry2_ids()) add_id(id);
-    for (const std::string& id : compile::registry_nd_ids()) add_id(id);
-  } else {
-    for (const std::string& id : options.functions) {
-      if (!add_id(id)) {
-        ++report.compile_errors;
-        if (report.message.empty()) {
-          report.message = "prewarm: unknown registry function '" + id + "'";
-        }
+  }
+  std::vector<compile::RegistryProgram> manifest;
+  for (const std::string& id : ids) {
+    if (auto program = compile::registry_program(id, options_.compile)) {
+      manifest.push_back(std::move(*program));
+    } else {
+      ++report.compile_errors;
+      if (report.message.empty()) {
+        report.message = "prewarm: unknown registry function '" + id + "'";
       }
     }
   }
@@ -224,11 +194,11 @@ PrewarmReport ProgramServer::prewarm(const PrewarmOptions& options) {
   // probe (contains() perturbs neither the LRU order nor the counters).
   std::mutex report_mutex;
   std::unique_ptr<engine::ThreadPool> pool = acquire_pool();
-  for (const ManifestEntry& entry : manifest) {
+  for (const compile::RegistryProgram& entry : manifest) {
     pool->submit([this, &entry, &report, &report_mutex] {
       if (compiler_.cache().contains(entry.key)) return;
       try {
-        entry.compile();
+        (void)compiler_.compile(entry);
         cache_prewarmed_.inc();
         std::lock_guard<std::mutex> lock(report_mutex);
         ++report.compiled;
@@ -236,7 +206,8 @@ PrewarmReport ProgramServer::prewarm(const PrewarmOptions& options) {
         std::lock_guard<std::mutex> lock(report_mutex);
         ++report.compile_errors;
         if (report.message.empty()) {
-          report.message = "prewarm: compile '" + entry.id + "': " + e.what();
+          report.message = "prewarm: compile '" + entry.key.function_id +
+                           "': " + e.what();
         }
       }
     });
@@ -332,16 +303,24 @@ void check_unit_coefficients(const std::vector<double>& coefficients) {
   }
 }
 
-/// A raw-coefficient program spec as a dense program of the request's
-/// arity, lifted to the one-data-channel-per-input circuit minimum.
+/// The one arity rule: every program of a request takes exactly the
+/// request's input count (arities cannot mix within one batch).
+void require_arity(const std::string& program, std::size_t program_arity,
+                   std::size_t request_arity) {
+  if (program_arity == request_arity) return;
+  throw ServeError(400, "bad_request",
+                   program + " takes " + std::to_string(program_arity) +
+                       (program_arity == 1 ? " input" : " inputs") +
+                       " but the request carries " +
+                       std::to_string(request_arity) +
+                       " (arities cannot mix)");
+}
+
+/// A raw-coefficient program spec - a flat vector takes one input, a
+/// nested grid two - as a dense program, lifted to the
+/// one-data-channel-per-input circuit minimum.
 stochastic::SeparableProgram raw_program(const ProgramSpec& spec,
                                          std::size_t arity) {
-  if (arity > 2) {
-    throw ServeError(400, "bad_request",
-                     "raw 'coefficients' programs are univariate or "
-                     "bivariate; N-ary 'inputs' requests name separable "
-                     "catalogue functions");
-  }
   if (spec.coefficients.empty() && spec.coefficients2.empty()) {
     // Typed-path callers can hand over an all-empty spec; keep it a
     // client error instead of a 500 out of BernsteinPoly.
@@ -349,15 +328,12 @@ stochastic::SeparableProgram raw_program(const ProgramSpec& spec,
         400, "bad_request",
         "each program needs exactly one of 'function'/'coefficients'");
   }
+  require_arity("program '" + spec.display_id() + "'",
+                spec.is_raw_bivariate() ? 2 : 1, arity);
   const std::string too_deep =
       "coefficient degree exceeds the kernel order limit (" +
       std::to_string(engine::PackedKernel::kMaxOrder) + ")";
   if (spec.is_raw_bivariate()) {
-    if (arity != 2) {
-      throw ServeError(400, "bad_request",
-                       "bivariate coefficient grid in a request without "
-                       "'ys' (arities cannot mix)");
-    }
     for (const std::vector<double>& row : spec.coefficients2) {
       check_unit_coefficients(row);
     }
@@ -378,11 +354,6 @@ stochastic::SeparableProgram raw_program(const ProgramSpec& spec,
     }
     return stochastic::SeparableProgram(std::move(poly));
   }
-  if (arity == 2) {
-    throw ServeError(400, "bad_request",
-                     "'ys' requires bivariate programs; got a flat "
-                     "coefficient vector (arities cannot mix)");
-  }
   check_unit_coefficients(spec.coefficients);
   stochastic::BernsteinPoly poly(spec.coefficients);
   if (poly.degree() == 0) poly = poly.elevated();  // circuit minimum
@@ -397,14 +368,9 @@ stochastic::SeparableProgram raw_program(const ProgramSpec& spec,
 ProgramServer::Resolved ProgramServer::resolve(const ServeRequest& request) {
   Resolved resolved;
   resolved.labels.reserve(request.programs.size());
-  // The request's arity is its axis count: the 'inputs' columns (three or
-  // more; one- and two-axis 'inputs' were lowered onto 'xs'/'ys' before
-  // this point), else 'xs' plus an optional 'ys'. Every program must match
-  // it (arities cannot mix within one batch).
-  resolved.arity = !request.inputs.empty() ? request.inputs.size()
-                   : request.ys.empty()    ? 1
-                                           : 2;
-  const std::size_t arity = resolved.arity;
+  // The request's arity is its axis count; every program must take
+  // exactly that many inputs.
+  const std::size_t arity = request.inputs.size();
 
   // Pass 1: compile (or accept) every program. `holds` and `refs` stay
   // parallel to the request's program list (nullptr / empty for
@@ -420,97 +386,36 @@ ProgramServer::Resolved ProgramServer::resolve(const ServeRequest& request) {
       continue;
     }
 
-    compile::CompileOptions opts = options_.compile;
-    if (request.sng_width.has_value()) opts.sng_width = *request.sng_width;
+    compile::CompileOptions base = options_.compile;
+    if (request.sng_width.has_value()) base.sng_width = *request.sng_width;
+    std::optional<compile::RegistryProgram> entry =
+        compile::registry_program(spec.function_id, base, spec.degree);
+    if (!entry) {
+      throw ServeError(404, "unknown_function",
+                       "unknown function '" + spec.function_id + "'");
+    }
+    require_arity("function '" + spec.function_id + "'", entry->arity(),
+                  arity);
     // Cold-compile admission: expensive high-degree pipelines only run
     // when the program is already resident.
-    const auto admit = [this](std::size_t degree,
-                              const compile::ProgramKey& key) {
-      if (degree > options_.max_cold_degree &&
-          !compiler_.cache().contains(key)) {
-        throw ServeError(
-            429, "compile_budget",
-            "cold compile at degree " + std::to_string(degree) +
-                " exceeds the admission budget (max_cold_degree = " +
-                std::to_string(options_.max_cold_degree) + ")");
-      }
-    };
+    if (entry->admission_degree() > options_.max_cold_degree &&
+        !compiler_.cache().contains(entry->key)) {
+      throw ServeError(
+          429, "compile_budget",
+          "cold compile at degree " +
+              std::to_string(entry->admission_degree()) +
+              " exceeds the admission budget (max_cold_degree = " +
+              std::to_string(options_.max_cold_degree) + ")");
+    }
     std::shared_ptr<const compile::CompiledProgram> program;
-    std::function<double(const std::vector<double>&)> ref;
     try {
-      if (arity > 2) {
-        const compile::RegistryFunctionN* fn =
-            compile::find_function_nd(spec.function_id);
-        if (fn == nullptr) {
-          if (compile::find_function(spec.function_id) != nullptr ||
-              compile::find_function2(spec.function_id) != nullptr) {
-            throw ServeError(400, "bad_request",
-                             "function '" + spec.function_id +
-                                 "' does not take " + std::to_string(arity) +
-                                 " inputs (arities cannot mix)");
-          }
-          throw ServeError(404, "unknown_function",
-                           "unknown function '" + spec.function_id + "'");
-        }
-        if (fn->arity != arity) {
-          throw ServeError(400, "bad_request",
-                           "function '" + spec.function_id + "' takes " +
-                               std::to_string(fn->arity) +
-                               " inputs but the request carries " +
-                               std::to_string(arity) + " 'inputs' axes");
-        }
-        opts.projection_nd.degree = spec.degree.value_or(fn->degree);
-        opts.projection_nd.max_terms = fn->max_terms;
-        // Same budget as the dense paths: the ALS pipeline cost scales
-        // with the factor degree.
-        admit(opts.projection_nd.degree,
-              compile::make_program_key_nd(spec.function_id, fn->arity, opts));
-        program =
-            compiler_.compile_nd(spec.function_id, fn->arity, fn->f, opts);
-        ref = fn->f;
-      } else if (const compile::RegistryFunction* fn =
-                     compile::find_function(spec.function_id)) {
-        if (arity == 2) {
-          throw ServeError(400, "bad_request",
-                           "function '" + spec.function_id +
-                               "' is univariate but the request carries "
-                               "'ys' (arities cannot mix)");
-        }
-        opts.projection.max_degree = spec.degree.value_or(fn->degree);
-        admit(opts.projection.max_degree,
-              compile::make_program_key(spec.function_id, opts));
-        program = compiler_.compile(spec.function_id, fn->f, opts);
-        ref = [f = fn->f](const std::vector<double>& p) { return f(p[0]); };
-      } else if (const compile::RegistryFunction2* fn2 =
-                     compile::find_function2(spec.function_id)) {
-        if (arity == 1) {
-          throw ServeError(400, "bad_request",
-                           "bivariate function '" + spec.function_id +
-                               "' needs 'ys' (arities cannot mix)");
-        }
-        // A request 'degree' caps both axes; otherwise the registry's
-        // per-axis recommendation applies.
-        opts.projection2.max_degree_x = spec.degree.value_or(fn2->degree_x);
-        opts.projection2.max_degree_y = spec.degree.value_or(fn2->degree_y);
-        // Admission on the larger axis cap: the pipeline cost scales with
-        // the coefficient grid, which either axis can blow up.
-        admit(std::max(opts.projection2.max_degree_x,
-                       opts.projection2.max_degree_y),
-              compile::make_program_key2(spec.function_id, opts));
-        program = compiler_.compile2(spec.function_id, fn2->f, opts);
-        ref = [f = fn2->f](const std::vector<double>& p) {
-          return f(p[0], p[1]);
-        };
-      } else {
-        throw ServeError(404, "unknown_function",
-                         "unknown function '" + spec.function_id + "'");
-      }
+      program = compiler_.compile(*entry);
     } catch (const std::invalid_argument& e) {
       throw ServeError(400, "bad_request", e.what());
     }
     programs.push_back(program->program());
     resolved.holds.push_back(std::move(program));
-    resolved.refs.push_back(std::move(ref));  // shadow reference: registry f
+    resolved.refs.push_back(std::move(entry->reference));  // registry f
   }
 
   // Pass 2: elevate every program to the common per-axis orders (value-
@@ -579,6 +484,13 @@ ServeResponse ProgramServer::handle(const ServeRequest& request) {
                                          : request.trace);
   obs::TraceScope scope(&trace);
   try {
+    if (request.op != RequestOp::kEvaluate) {
+      throw ServeError(400, "bad_request",
+                       "handle() only serves evaluate requests");
+    }
+    // parse_request applies these rules to every wire request; typed
+    // requests get them here.
+    validate_evaluate(request);
     ServeResponse response = evaluate(request, trace);
     response.trace_id = trace.id();
     const double total_us = trace.elapsed_us();
@@ -617,58 +529,6 @@ void ProgramServer::count_error(const std::string& reason) {
 
 ServeResponse ProgramServer::evaluate(const ServeRequest& request,
                                       obs::Trace& trace) {
-  if (request.op != RequestOp::kEvaluate) {
-    throw ServeError(400, "bad_request",
-                     "handle() only serves evaluate requests");
-  }
-  // The typed entry point bypasses parse_request's shape checks; repeat
-  // the ones this function relies on before anything dereferences them
-  // (the shared arity-guard rules render the same wire-style strings).
-  const auto raise = [](const std::string& message) {
-    if (!message.empty()) throw ServeError(400, "bad_request", message);
-  };
-  if (request.programs.empty()) {
-    throw ServeError(400, "bad_request", "evaluate request names no programs");
-  }
-  if (!request.inputs.empty()) {
-    raise(arity::both_error(arity::kWireStyle, "inputs", "xs", true,
-                            !request.xs.empty()));
-    raise(arity::both_error(arity::kWireStyle, "inputs", "ys", true,
-                            !request.ys.empty()));
-    for (std::size_t axis = 0; axis < request.inputs.size(); ++axis) {
-      const std::string name = "inputs[" + std::to_string(axis) + "]";
-      raise(arity::nonempty_error(arity::kWireStyle, name,
-                                  request.inputs[axis].size()));
-      raise(arity::pairwise_error(arity::kWireStyle, "inputs[0]",
-                                  request.inputs.front().size(), name,
-                                  request.inputs[axis].size()));
-    }
-    if (request.inputs.size() <= 2) {
-      // One or two axes are the legacy paths wearing the N-ary wire
-      // format: lower them onto 'xs'/'ys' and re-enter, so everything
-      // downstream sees exactly one spelling per arity.
-      ServeRequest lowered = request;
-      lowered.xs = std::move(lowered.inputs.front());
-      if (lowered.inputs.size() == 2) {
-        lowered.ys = std::move(lowered.inputs.back());
-      }
-      lowered.inputs.clear();
-      return evaluate(lowered, trace);
-    }
-  } else {
-    raise(arity::nonempty_error(arity::kWireStyle, "xs", request.xs.size()));
-    if (!request.ys.empty()) {
-      raise(arity::pairwise_error(arity::kWireStyle, "xs",
-                                  request.xs.size(), "ys",
-                                  request.ys.size()));
-    }
-  }
-  if (request.stream_lengths.empty()) {
-    throw ServeError(400, "bad_request", "'stream_lengths' must be nonempty");
-  }
-  if (request.repeats == 0) {
-    throw ServeError(400, "bad_request", "'repeats' must be positive");
-  }
   // Evaluate-cost admission, in floating point so absurd uint64 values
   // cannot overflow their way past the gate. Checked before any compile
   // work and before an in-flight slot is taken.
@@ -676,11 +536,8 @@ ServeResponse ProgramServer::evaluate(const ServeRequest& request,
   for (std::size_t len : request.stream_lengths) {
     length_bits += static_cast<double>(len);
   }
-  const std::size_t n_points = request.inputs.empty()
-                                   ? request.xs.size()
-                                   : request.inputs.front().size();
   const double work_bits = static_cast<double>(request.programs.size()) *
-                           static_cast<double>(n_points) *
+                           static_cast<double>(request.inputs.front().size()) *
                            static_cast<double>(request.repeats) * length_bits;
   if (work_bits > options_.max_request_bits) {
     throw ServeError(413, "too_large",
@@ -692,7 +549,6 @@ ServeResponse ProgramServer::evaluate(const ServeRequest& request,
 
   ServeResponse response;
   response.id = request.id;
-  response.programs.reserve(request.programs.size());
 
   const auto t_resolve = Clock::now();
   Resolved resolved;
@@ -708,24 +564,11 @@ ServeResponse ProgramServer::evaluate(const ServeRequest& request,
   const oscs::OperatingPoint op = resolve_operating_point(request, resolved);
 
   // One batch form for every arity: programs over per-axis input columns.
-  // The coordinates are range-checked here under the request's own member
-  // names (the engine would name every column inputs[a]).
-  const bool nd = resolved.arity > 2;
+  const std::size_t arity = request.inputs.size();
+  const bool nd = arity > 2;
   engine::BatchRequest batch;
   batch.programs_nd = std::move(resolved.programs);
-  if (nd) {
-    batch.inputs = request.inputs;
-    for (std::size_t axis = 0; axis < batch.inputs.size(); ++axis) {
-      raise(arity::unit_range_error(arity::kWireStyle,
-                                    "inputs[" + std::to_string(axis) + "]",
-                                    batch.inputs[axis]));
-    }
-  } else {
-    raise(arity::unit_range_error(arity::kWireStyle, "xs", request.xs));
-    raise(arity::unit_range_error(arity::kWireStyle, "ys", request.ys));
-    batch.inputs = {request.xs};
-    if (resolved.arity == 2) batch.inputs.push_back(request.ys);
-  }
+  batch.inputs = request.inputs;
   batch.stream_lengths = request.stream_lengths;
   batch.repeats = request.repeats;
   batch.seed = request.seed;
@@ -769,10 +612,7 @@ ServeResponse ProgramServer::evaluate(const ServeRequest& request,
   for (const engine::BatchCell& cell : summary.cells) {
     CellResult out;
     out.program = resolved.labels[cell.poly_index];
-    out.x = cell.x;
-    out.bivariate = resolved.arity == 2;
-    out.y = cell.y;
-    if (nd) out.point = cell.point;  // serialized as the "inputs" array
+    out.point = cell.point;
     out.stream_length = cell.stream_length;
     out.repeats = cell.repeats;
     out.expected = cell.expected;
@@ -787,7 +627,7 @@ ServeResponse ProgramServer::evaluate(const ServeRequest& request,
   // Accuracy plane: per-cell telemetry is free (the numbers are already
   // in the summary); the double-precision shadow reference only runs for
   // deterministically sampled requests.
-  accuracy_.record_cells(summary, resolved.labels, resolved.arity);
+  accuracy_.record_cells(summary, resolved.labels, arity);
   if (accuracy_.should_sample(trace.id())) {
     std::vector<ShadowObservation> shadow(resolved.labels.size());
     std::vector<std::size_t> counts(resolved.labels.size(), 0);
@@ -804,7 +644,7 @@ ServeResponse ProgramServer::evaluate(const ServeRequest& request,
     }
     for (std::size_t pi = 0; pi < shadow.size(); ++pi) {
       shadow[pi].program = resolved.labels[pi];
-      shadow[pi].arity = resolved.arity;
+      shadow[pi].arity = arity;
       if (counts[pi] > 0) {
         shadow[pi].observed_error /= static_cast<double>(counts[pi]);
       }
@@ -823,9 +663,9 @@ ServeResponse ProgramServer::evaluate(const ServeRequest& request,
   response.latency.total_us = trace.elapsed_us();
   // Completion is three arity counters; `completed` is derived as their
   // sum at snapshot time, so the invariant holds without a lock here.
-  (nd                        ? completed_nd_
-   : resolved.arity == 2 ? completed_bivariate_
-                         : completed_univariate_)
+  (nd ? completed_nd_
+      : arity == 2 ? completed_bivariate_
+                   : completed_univariate_)
       .inc();
   return response;
 }

@@ -97,7 +97,7 @@ struct ServerOptions {
   /// degree always serve. Rejection carries 429 "compile_budget".
   std::size_t max_cold_degree = 8;
   /// Evaluate-cost ceiling: total stream bits one request may demand
-  /// (programs x xs x repeats x sum of stream lengths). Without it a
+  /// (programs x points x repeats x sum of stream lengths). Without it a
   /// single absurd repeats/length value wedges an in-flight slot
   /// indefinitely. Rejection carries 413 "too_large".
   double max_request_bits = 4.0e9;
@@ -150,7 +150,7 @@ struct ServerMetrics {
   std::size_t completed = 0;
   std::size_t completed_univariate = 0;
   std::size_t completed_bivariate = 0;
-  std::size_t completed_nd = 0;  ///< N-ary ("inputs") evaluates
+  std::size_t completed_nd = 0;  ///< evaluates of three or more axes
   std::size_t rejected_busy = 0;    ///< 429 in-flight gate
   std::size_t rejected_budget = 0;  ///< 429 cold-compile budget
   std::size_t failed = 0;           ///< every other error response
@@ -235,8 +235,6 @@ class ProgramServer {
   /// A request's programs resolved onto one common set of per-axis kernel
   /// orders.
   struct Resolved {
-    /// Request input count: 1 (xs), 2 (xs + ys) or the N-ary axis count.
-    std::size_t arity = 1;
     /// Programs elevated to the common orders: dense univariate /
     /// tensor-product forms for one and two inputs, sum-of-rank-1 forms
     /// above that.
@@ -278,15 +276,16 @@ class ProgramServer {
   };
 
   /// The evaluate path both public entry points share (admission gate,
-  /// resolution, execution); counting happens in the callers. `trace`
-  /// receives the resolve/execute spans (compile spans attach through the
-  /// thread-local scope).
+  /// resolution, execution) for a request that passed validate_evaluate;
+  /// counting happens in the callers. `trace` receives the
+  /// resolve/execute spans (compile spans attach through the thread-local
+  /// scope).
   [[nodiscard]] ServeResponse evaluate(const ServeRequest& request,
                                        obs::Trace& trace);
-  /// Compile (or accept) every program of the request's arity and elevate
-  /// them onto one kernel: dense forms to common per-axis orders, N-ary
-  /// separable programs ('inputs' with three or more axes) to one common
-  /// factor order on a one-axis kernel.
+  /// Compile (or accept) every program - each must take the request's
+  /// input count - and elevate them onto one kernel: dense forms to
+  /// common per-axis orders, N-ary separable programs (three or more
+  /// axes) to one common factor order on a one-axis kernel.
   [[nodiscard]] Resolved resolve(const ServeRequest& request);
   [[nodiscard]] const OrderEngine& order_engine(
       const std::vector<std::size_t>& orders);

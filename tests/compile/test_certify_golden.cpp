@@ -327,14 +327,12 @@ TEST(CertifyGolden, AutoTuneSin) {
 }
 
 TEST(CertifyGolden, AutoTuneBivariateMul) {
-  const RegistryFunction2* fn = find_function2("mul");
-  ASSERT_NE(fn, nullptr);
   AutoTuneOptions options = golden_tune_options();
   options.degrees = {1, 2};
   for (oscs::SimdBackend backend : available_backends()) {
     ScopedBackend scope(backend);
     EXPECT_EQ(golden("auto_tune/mul"),
-              render(auto_tune2(fn->id, fn->f, 0.004, options)))
+              render(auto_tune("mul", 0.004, options)))
         << "[" << backend_name(backend) << "]";
   }
 }

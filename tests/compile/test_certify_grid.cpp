@@ -8,6 +8,7 @@
 #include "compile/autotune.hpp"
 #include "compile/compiler.hpp"
 #include "compile/export.hpp"
+#include "compile/registry.hpp"
 #include "optsc/link_budget.hpp"
 
 namespace oscs::compile {

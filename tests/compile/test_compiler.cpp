@@ -9,6 +9,7 @@
 #include <string>
 
 #include "compile/export.hpp"
+#include "compile/registry.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "stochastic/resc.hpp"
@@ -44,7 +45,7 @@ TEST(RegistryTest, CatalogueIsWellFormed) {
 TEST(CompilerCertification, AllRegistryFunctionsMeetAccuracyBudget) {
   Compiler compiler;
   for (const RegistryFunction& fn : function_registry()) {
-    const auto program = compiler.compile(fn);
+    const auto program = compiler.compile(fn.id);
     ASSERT_NE(program, nullptr) << fn.id;
     EXPECT_LE(program->circuit_order(), 6u) << fn.id;
     ASSERT_TRUE(program->certification().has_value()) << fn.id;

@@ -66,7 +66,7 @@ TEST(BivariateCompilerTest, AlphaBlendCertifiesOnNineByNineGrid) {
 TEST(BivariateCompilerTest, EveryRegistryEntryCompilesAndCertifies) {
   Compiler compiler(fast_options());
   for (const RegistryFunction2& fn : function_registry2()) {
-    const auto program = compiler.compile2(fn);
+    const auto program = compiler.compile2(fn.id);
     ASSERT_NE(program, nullptr) << fn.id;
     EXPECT_TRUE(program->is_bivariate()) << fn.id;
     EXPECT_GE(program->circuit_order(), 1u) << fn.id;

@@ -251,7 +251,7 @@ TEST(SeparableCompilerAcceptance, RegistryCertifiesUnderBudgetAt4096Bits) {
   cert.grid_points = 5;  // 125 interior tuples per function
   ASSERT_EQ(function_registry_nd().size(), 3u);
   for (const RegistryFunctionN& fn : function_registry_nd()) {
-    const auto program = compiler.compile_nd(fn);
+    const auto program = compiler.compile_nd(fn.id);
     ASSERT_NE(program, nullptr) << fn.id;
     const Certification result = certify_nd(*program, fn.f, cert);
     EXPECT_TRUE(result.noise_enabled) << fn.id;

@@ -66,7 +66,7 @@ TEST(ServeTrace, TypedPathEchoesTraceIds) {
   ProgramServer server(fast_options());
   ServeRequest request;
   request.programs.push_back({"sigmoid", {}, {}, "", std::nullopt});
-  request.xs = {0.5};
+  request.inputs = {{0.5}};
   request.stream_lengths = {128};
   request.repeats = 2;
   request.trace = "typed-trace";

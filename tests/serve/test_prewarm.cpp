@@ -30,10 +30,7 @@ ServerOptions fast_options() {
   return options;
 }
 
-std::size_t registry_total() {
-  return compile::registry_ids().size() + compile::registry2_ids().size() +
-         compile::registry_nd_ids().size();
-}
+std::size_t registry_total() { return compile::registry_entries().size(); }
 
 std::string temp_cache_path(const std::string& tag) {
   return ::testing::TempDir() + "oscs_prewarm_" + tag + ".bin";
@@ -42,31 +39,16 @@ std::string temp_cache_path(const std::string& tag) {
 /// Drive one evaluate request per registry entry (all three arities)
 /// through handle_json and assert every response is ok.
 void serve_full_registry(ProgramServer& server) {
-  for (const std::string& id : compile::registry_ids()) {
-    const JsonValue doc = json_parse(server.handle_json(
-        R"({"function": ")" + id +
-        R"(", "xs": [0.25, 0.75], "stream_lengths": [256], "repeats": 2})"));
-    ASSERT_TRUE(doc.find("ok")->as_bool()) << id;
-  }
-  for (const std::string& id : compile::registry2_ids()) {
-    const JsonValue doc = json_parse(server.handle_json(
-        R"({"function": ")" + id +
-        R"(", "xs": [0.25], "ys": [0.5], "stream_lengths": [256],)"
-        R"( "repeats": 2})"));
-    ASSERT_TRUE(doc.find("ok")->as_bool()) << id;
-  }
-  for (const std::string& id : compile::registry_nd_ids()) {
-    const compile::RegistryFunctionN* fn = compile::find_function_nd(id);
-    ASSERT_NE(fn, nullptr) << id;
+  for (const compile::RegistryEntry& entry : compile::registry_entries()) {
     std::string inputs = "[";
-    for (std::size_t axis = 0; axis < fn->arity; ++axis) {
+    for (std::size_t axis = 0; axis < entry.arity; ++axis) {
       inputs += axis == 0 ? "[0.25, 0.75]" : ", [0.25, 0.75]";
     }
     inputs += "]";
     const JsonValue doc = json_parse(server.handle_json(
-        R"({"function": ")" + id + R"(", "inputs": )" + inputs +
+        R"({"function": ")" + entry.id + R"(", "inputs": )" + inputs +
         R"(, "stream_lengths": [256], "repeats": 2})"));
-    ASSERT_TRUE(doc.find("ok")->as_bool()) << id;
+    ASSERT_TRUE(doc.find("ok")->as_bool()) << entry.id;
   }
 }
 

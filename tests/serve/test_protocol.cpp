@@ -28,7 +28,8 @@ TEST(ParseRequest, ParsesFullEvaluateRequest) {
   EXPECT_EQ(req.programs[1].degree, 4u);
   EXPECT_TRUE(req.programs[2].is_raw());
   EXPECT_EQ(req.programs[2].display_id(), "ramp");
-  EXPECT_EQ(req.xs, (std::vector<double>{0.25, 0.5}));
+  EXPECT_EQ(req.inputs,
+            (std::vector<std::vector<double>>{{0.25, 0.5}}));
   EXPECT_EQ(req.stream_lengths, (std::vector<std::size_t>{1024, 2048}));
   EXPECT_EQ(req.repeats, 4u);
   EXPECT_EQ(req.seed, 7u);
@@ -137,7 +138,7 @@ TEST(WriteResponse, RoundTripsThroughStrictParser) {
   response.op.stream_length = 1024;
   CellResult cell;
   cell.program = "sigmoid";
-  cell.x = 0.25;
+  cell.point = {0.25};
   cell.stream_length = 1024;
   cell.repeats = 4;
   cell.expected = 0.5621765008857981;

@@ -1,10 +1,10 @@
 /// \file test_separable_serve.cpp
 /// \brief Serving-layer tests for the N-ary "inputs" wire format:
 ///        evaluation through the separable path with per-cell "inputs"
-///        echo, lowering of 1- and 2-axis requests onto the legacy
-///        univariate/bivariate paths, the shared arity-guard error
-///        strings, arity-mismatch admission, and the completed_nd
-///        metrics/health plumbing.
+///        echo, 1- and 2-axis requests answering like their xs/ys
+///        spellings, the shared arity-guard error strings (naming the
+///        members the client sent), the one arity-mismatch message, and
+///        the completed_nd metrics/health plumbing.
 
 #include <gtest/gtest.h>
 
@@ -115,17 +115,31 @@ TEST(SeparableServeTest, AritiesCannotMix) {
   EXPECT_EQ(error_of(server,
                      R"({"function": "mul",
                          "inputs": [[0.1], [0.2], [0.3]]})"),
-            "function 'mul' does not take 3 inputs (arities cannot mix)");
+            "function 'mul' takes 2 inputs but the request carries 3 "
+            "(arities cannot mix)");
+  // Every spelling of every arity mismatch gets the same one message.
+  EXPECT_EQ(error_of(server, R"({"function": "sigmoid", "xs": [0.1],
+                                 "ys": [0.2]})"),
+            "function 'sigmoid' takes 1 input but the request carries 2 "
+            "(arities cannot mix)");
+  EXPECT_EQ(error_of(server, R"({"function": "mul", "xs": [0.1]})"),
+            "function 'mul' takes 2 inputs but the request carries 1 "
+            "(arities cannot mix)");
+  EXPECT_EQ(error_of(server, R"({"function": "rgb_luma", "xs": [0.5]})"),
+            "function 'rgb_luma' takes 3 inputs but the request carries 1 "
+            "(arities cannot mix)");
   // Unknown everywhere -> plain 404 wording.
   EXPECT_EQ(error_of(server,
                      R"({"function": "no_such_fn",
                          "inputs": [[0.1], [0.2], [0.3]]})"),
             "unknown function 'no_such_fn'");
-  // Raw coefficient programs stay dense-only.
+  // Raw coefficient programs stay dense-only: a flat vector takes one
+  // input.
   const std::string raw_error = error_of(
       server,
       R"({"coefficients": [0.1, 0.9], "inputs": [[0.1], [0.2], [0.3]]})");
-  EXPECT_NE(raw_error.find("univariate or bivariate"), std::string::npos)
+  EXPECT_NE(raw_error.find("takes 1 input but the request carries 3"),
+            std::string::npos)
       << raw_error;
   // Wrong axis count against the registry arity.
   const std::string axis_error = error_of(
@@ -133,6 +147,36 @@ TEST(SeparableServeTest, AritiesCannotMix) {
       R"({"function": "rgb_luma", "inputs": [[0.1], [0.2], [0.3], [0.4]]})");
   EXPECT_NE(axis_error.find("takes 3 inputs"), std::string::npos)
       << axis_error;
+}
+
+TEST(SeparableServeTest, NaryIdWithXsIsABadRequestNotUnknown) {
+  ProgramServer server(fast_options());
+  const JsonValue doc = json_parse(server.handle_json(
+      R"({"function": "rgb_luma", "xs": [0.5], "stream_lengths": [64],
+          "repeats": 1})"));
+  ASSERT_FALSE(doc.find("ok")->as_bool());
+  EXPECT_EQ(doc.find("error")->find("status")->as_number(), 400.0);
+  EXPECT_EQ(doc.find("error")->find("reason")->as_string(), "bad_request");
+}
+
+TEST(SeparableServeTest, ErrorsNameTheMembersTheClientSent) {
+  ProgramServer server(fast_options());
+  // "y" beside "inputs" names "y", not the "ys" it would broadcast into.
+  EXPECT_EQ(error_of(server, R"({"function": "mul",
+                                 "inputs": [[0.1], [0.2]], "y": 0.5})"),
+            "request carries both 'inputs' and 'y'");
+  // An out-of-range value on axis 1 of a two-axis "inputs" request names
+  // that axis, not "ys".
+  EXPECT_EQ(error_of(server, R"({"function": "mul",
+                                 "inputs": [[0.1], [1.2]]})"),
+            "'inputs[1]' values must be finite and in [0, 1]");
+  // The legacy spellings keep their own names.
+  EXPECT_EQ(error_of(server, R"({"function": "mul", "xs": [0.1],
+                                 "ys": [1.2]})"),
+            "'ys' values must be finite and in [0, 1]");
+  EXPECT_EQ(error_of(server, R"({"function": "mul", "xs": [0.1],
+                                 "y": 1.2})"),
+            "'y' values must be finite and in [0, 1]");
 }
 
 TEST(SeparableServeTest, CompletedNdMetricAndHealthArity) {

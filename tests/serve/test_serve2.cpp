@@ -24,16 +24,18 @@ ServerOptions fast_options() {
 TEST(BivariateProtocolTest, ParsesYsArrayAndPairsWithXs) {
   const ServeRequest req = parse_request(
       R"({"function": "mul", "xs": [0.25, 0.5], "ys": [0.75, 0.1]})");
-  ASSERT_EQ(req.ys.size(), 2u);
-  EXPECT_DOUBLE_EQ(req.ys[0], 0.75);
-  EXPECT_DOUBLE_EQ(req.ys[1], 0.1);
+  ASSERT_EQ(req.inputs.size(), 2u);
+  ASSERT_EQ(req.inputs[1].size(), 2u);
+  EXPECT_DOUBLE_EQ(req.inputs[1][0], 0.75);
+  EXPECT_DOUBLE_EQ(req.inputs[1][1], 0.1);
 }
 
 TEST(BivariateProtocolTest, SingleYSugarBroadcastsOverXs) {
   const ServeRequest req = parse_request(
       R"({"function": "mul", "xs": [0.25, 0.5, 0.75], "y": 0.5})");
-  ASSERT_EQ(req.ys.size(), 3u);
-  for (double y : req.ys) EXPECT_DOUBLE_EQ(y, 0.5);
+  ASSERT_EQ(req.inputs.size(), 2u);
+  ASSERT_EQ(req.inputs[1].size(), 3u);
+  for (double y : req.inputs[1]) EXPECT_DOUBLE_EQ(y, 0.5);
 }
 
 TEST(BivariateProtocolTest, ParsesNestedCoefficientGrid) {
@@ -183,8 +185,7 @@ TEST(BivariateServeTest, TypedPathRejectsRaggedGridWith400) {
   ProgramSpec spec;
   spec.coefficients2 = {{0.1, 0.2}, {0.3}};
   request.programs.push_back(spec);
-  request.xs = {0.5};
-  request.ys = {0.5};
+  request.inputs = {{0.5}, {0.5}};
   request.stream_lengths = {128};
   request.repeats = 1;
   try {
@@ -202,8 +203,7 @@ TEST(BivariateServeTest, TypedPathRejectsYsLengthMismatch) {
   ProgramSpec spec;
   spec.coefficients2 = {{0.0, 0.0}, {0.0, 1.0}};
   request.programs.push_back(spec);
-  request.xs = {0.5, 0.6};
-  request.ys = {0.5};
+  request.inputs = {{0.5, 0.6}, {0.5}};
   request.stream_lengths = {128};
   request.repeats = 1;
   EXPECT_THROW((void)server.handle(request), ServeError);

@@ -266,7 +266,7 @@ TEST(ProgramServerTest, TypedHandleMatchesJsonPath) {
   ProgramSpec spec;
   spec.coefficients = {0.2, 0.9, 0.4};
   request.programs.push_back(spec);
-  request.xs = {0.5};
+  request.inputs = {{0.5}};
   request.stream_lengths = {512};
   request.repeats = 2;
   request.seed = 9;
@@ -291,7 +291,7 @@ TEST(ProgramServerTest, TypedHandleRejectsMalformedRequestsWithServeError) {
   ProgramSpec spec;
   spec.coefficients = {0.2, 0.8};
   base.programs.push_back(spec);
-  base.xs = {0.5};
+  base.inputs = {{0.5}};
   base.probe_power_mw = 1.0;
 
   const auto expect_400 = [&server](ServeRequest req, const char* what) {
@@ -309,8 +309,13 @@ TEST(ProgramServerTest, TypedHandleRejectsMalformedRequestsWithServeError) {
   }
   {
     ServeRequest req = base;
-    req.xs.clear();
-    expect_400(req, "empty xs");
+    req.inputs.front().clear();
+    expect_400(req, "empty input axis");
+  }
+  {
+    ServeRequest req = base;
+    req.inputs.clear();
+    expect_400(req, "no input axes");
   }
   {
     ServeRequest req = base;
