@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <memory>
+#include <ostream>
 #include <stdexcept>
 #include <vector>
 
@@ -46,20 +47,26 @@ const BatchRunner& runner2() {
   return instance;
 }
 
-/// Both entry points, one signature: every contract test runs through
-/// each (mirroring the univariate test_batch_validation suite).
-using Entry = BatchSummary (*)(const BatchRequest&);
-BatchSummary run_entry(const BatchRequest& req) {
-  return runner2().run_nd(req, /*threads=*/1);
+/// Both entry points: every contract test runs through each (mirroring
+/// the univariate test_batch_validation suite).
+enum class Entry { kRun, kRunFused };
+
+/// Printed as "run"/"run_fused" into the test names and into the
+/// parameter value ctest lists, so both stay the same from build to build
+/// (a function-pointer parameter printed its address).
+void PrintTo(Entry entry, std::ostream* os) {
+  *os << (entry == Entry::kRun ? "run" : "run_fused");
 }
-BatchSummary run_fused_entry(const BatchRequest& req) {
-  return runner2().run_fused(req, /*threads=*/1);
+
+BatchSummary run(Entry entry, const BatchRequest& req) {
+  return entry == Entry::kRun ? runner2().run_nd(req, /*threads=*/1)
+                              : runner2().run_fused(req, /*threads=*/1);
 }
 
 class BivariateBatchValidationTest : public ::testing::TestWithParam<Entry> {};
 
 TEST_P(BivariateBatchValidationTest, AcceptsAValidPairRequest) {
-  const BatchSummary summary = GetParam()(valid_request2());
+  const BatchSummary summary = run(GetParam(), valid_request2());
   ASSERT_EQ(summary.cells.size(), 2u);
   EXPECT_DOUBLE_EQ(summary.cells[0].x, 0.25);
   EXPECT_DOUBLE_EQ(summary.cells[0].y, 0.5);
@@ -71,17 +78,17 @@ TEST_P(BivariateBatchValidationTest, RejectsMismatchedXYLengths) {
   {
     BatchRequest req = valid_request2();
     req.ys = {0.5};  // shorter than xs
-    EXPECT_THROW((void)GetParam()(req), std::invalid_argument);
+    EXPECT_THROW((void)run(GetParam(), req), std::invalid_argument);
   }
   {
     BatchRequest req = valid_request2();
     req.ys = {0.5, 0.9, 0.1};  // longer than xs
-    EXPECT_THROW((void)GetParam()(req), std::invalid_argument);
+    EXPECT_THROW((void)run(GetParam(), req), std::invalid_argument);
   }
   {
     BatchRequest req = valid_request2();
     req.ys.clear();  // bivariate programs demand the pair coordinate
-    EXPECT_THROW((void)GetParam()(req), std::invalid_argument);
+    EXPECT_THROW((void)run(GetParam(), req), std::invalid_argument);
   }
 }
 
@@ -89,20 +96,20 @@ TEST_P(BivariateBatchValidationTest, RejectsYsOnUnivariateRequest) {
   BatchRequest req = valid_request2();
   req.polynomials2.clear();
   req.polynomials = {sc::BernsteinPoly({0.2, 0.8})};
-  EXPECT_THROW((void)GetParam()(req), std::invalid_argument);
+  EXPECT_THROW((void)run(GetParam(), req), std::invalid_argument);
 }
 
 TEST_P(BivariateBatchValidationTest, RejectsBothArityListsPopulated) {
   BatchRequest req = valid_request2();
   req.polynomials = {sc::BernsteinPoly({0.2, 0.8})};
-  EXPECT_THROW((void)GetParam()(req), std::invalid_argument);
+  EXPECT_THROW((void)run(GetParam(), req), std::invalid_argument);
 }
 
 TEST_P(BivariateBatchValidationTest, RejectsOutOfRangeOrNonFiniteY) {
   for (const double bad : {-0.1, 1.1, std::nan("")}) {
     BatchRequest req = valid_request2();
     req.ys = {0.5, bad};
-    EXPECT_THROW((void)GetParam()(req), std::invalid_argument) << "y=" << bad;
+    EXPECT_THROW((void)run(GetParam(), req), std::invalid_argument) << "y=" << bad;
   }
 }
 
@@ -110,7 +117,7 @@ TEST_P(BivariateBatchValidationTest, RejectsOrderMismatch) {
   BatchRequest req = valid_request2();
   req.polynomials2 = {sc::BernsteinPoly2(2, 1, {0.1, 0.2, 0.3, 0.4, 0.5,
                                                 0.6})};
-  EXPECT_THROW((void)GetParam()(req), std::invalid_argument);
+  EXPECT_THROW((void)run(GetParam(), req), std::invalid_argument);
 }
 
 TEST_P(BivariateBatchValidationTest, RejectsArityKernelMismatch) {
@@ -120,7 +127,7 @@ TEST_P(BivariateBatchValidationTest, RejectsArityKernelMismatch) {
   uni.xs = {0.5};
   uni.stream_lengths = {128};
   uni.repeats = 1;
-  EXPECT_THROW((void)GetParam()(uni), std::invalid_argument);
+  EXPECT_THROW((void)run(GetParam(), uni), std::invalid_argument);
   // ...and a bivariate request on a univariate runner.
   static const BatchRunner uni_runner{
       optsc::OpticalScCircuit(optsc::paper_defaults(1))};
@@ -129,10 +136,9 @@ TEST_P(BivariateBatchValidationTest, RejectsArityKernelMismatch) {
 }
 
 INSTANTIATE_TEST_SUITE_P(RunAndRunFused, BivariateBatchValidationTest,
-                         ::testing::Values(&run_entry, &run_fused_entry),
+                         ::testing::Values(Entry::kRun, Entry::kRunFused),
                          [](const auto& info) {
-                           return info.param == &run_entry ? "run"
-                                                           : "run_fused";
+                           return ::testing::PrintToString(info.param);
                          });
 
 TEST(BivariateBatchTest, EstimatesTrackTheSurface) {

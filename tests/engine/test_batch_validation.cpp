@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <limits>
+#include <ostream>
 #include <stdexcept>
 #include <vector>
 
@@ -33,51 +34,56 @@ const BatchRunner& runner() {
   return instance;
 }
 
-/// Both entry points, one signature: the tests below run every bad
-/// request through each.
-using Entry = BatchSummary (*)(const BatchRequest&);
-BatchSummary run_entry(const BatchRequest& req) {
-  return runner().run_nd(req, /*threads=*/1);
+/// Both entry points: the tests below run every bad request through each.
+enum class Entry { kRun, kRunFused };
+
+/// Printed as "run"/"run_fused" into the test names and into the
+/// parameter value ctest lists, so both stay the same from build to build
+/// (a function-pointer parameter printed its address).
+void PrintTo(Entry entry, std::ostream* os) {
+  *os << (entry == Entry::kRun ? "run" : "run_fused");
 }
-BatchSummary run_fused_entry(const BatchRequest& req) {
-  return runner().run_fused(req, /*threads=*/1);
+
+BatchSummary run(Entry entry, const BatchRequest& req) {
+  return entry == Entry::kRun ? runner().run_nd(req, /*threads=*/1)
+                              : runner().run_fused(req, /*threads=*/1);
 }
 
 class BatchValidationTest : public ::testing::TestWithParam<Entry> {};
 
 TEST_P(BatchValidationTest, AcceptsAValidRequest) {
-  const BatchSummary summary = GetParam()(valid_request());
+  const BatchSummary summary = run(GetParam(), valid_request());
   EXPECT_EQ(summary.cells.size(), 2u);
 }
 
 TEST_P(BatchValidationTest, RejectsZeroRepeats) {
   BatchRequest req = valid_request();
   req.repeats = 0;
-  EXPECT_THROW((void)GetParam()(req), std::invalid_argument);
+  EXPECT_THROW((void)run(GetParam(), req), std::invalid_argument);
 }
 
 TEST_P(BatchValidationTest, RejectsEmptyPolynomials) {
   BatchRequest req = valid_request();
   req.polynomials.clear();
-  EXPECT_THROW((void)GetParam()(req), std::invalid_argument);
+  EXPECT_THROW((void)run(GetParam(), req), std::invalid_argument);
 }
 
 TEST_P(BatchValidationTest, RejectsEmptyXs) {
   BatchRequest req = valid_request();
   req.xs.clear();
-  EXPECT_THROW((void)GetParam()(req), std::invalid_argument);
+  EXPECT_THROW((void)run(GetParam(), req), std::invalid_argument);
 }
 
 TEST_P(BatchValidationTest, RejectsEmptyStreamLengths) {
   BatchRequest req = valid_request();
   req.stream_lengths.clear();
-  EXPECT_THROW((void)GetParam()(req), std::invalid_argument);
+  EXPECT_THROW((void)run(GetParam(), req), std::invalid_argument);
 }
 
 TEST_P(BatchValidationTest, RejectsZeroStreamLength) {
   BatchRequest req = valid_request();
   req.stream_lengths = {256, 0};
-  EXPECT_THROW((void)GetParam()(req), std::invalid_argument);
+  EXPECT_THROW((void)run(GetParam(), req), std::invalid_argument);
 }
 
 TEST_P(BatchValidationTest, RejectsOutOfRangeOrNonFiniteX) {
@@ -85,7 +91,7 @@ TEST_P(BatchValidationTest, RejectsOutOfRangeOrNonFiniteX) {
                            std::numeric_limits<double>::infinity()}) {
     BatchRequest req = valid_request();
     req.xs = {0.5, bad};
-    EXPECT_THROW((void)GetParam()(req), std::invalid_argument)
+    EXPECT_THROW((void)run(GetParam(), req), std::invalid_argument)
         << "x = " << bad;
   }
 }
@@ -95,33 +101,32 @@ TEST_P(BatchValidationTest, RejectsInvalidOperatingPoint) {
     BatchRequest req = valid_request();
     req.op = oscs::OperatingPoint{};
     req.op->ber = 0.75;  // outside [0, 0.5]
-    EXPECT_THROW((void)GetParam()(req), std::invalid_argument);
+    EXPECT_THROW((void)run(GetParam(), req), std::invalid_argument);
   }
   {
     BatchRequest req = valid_request();
     req.op = oscs::OperatingPoint{};
     req.op->probe_power_mw = -1.0;
-    EXPECT_THROW((void)GetParam()(req), std::invalid_argument);
+    EXPECT_THROW((void)run(GetParam(), req), std::invalid_argument);
   }
   {
     BatchRequest req = valid_request();
     req.op = oscs::OperatingPoint{};
     req.op->stream_length = 0;
-    EXPECT_THROW((void)GetParam()(req), std::invalid_argument);
+    EXPECT_THROW((void)run(GetParam(), req), std::invalid_argument);
   }
 }
 
 TEST_P(BatchValidationTest, RejectsPolynomialOrderMismatch) {
   BatchRequest req = valid_request();
   req.polynomials.push_back(sc::BernsteinPoly({0.1, 0.9}));  // order 1
-  EXPECT_THROW((void)GetParam()(req), std::invalid_argument);
+  EXPECT_THROW((void)run(GetParam(), req), std::invalid_argument);
 }
 
 INSTANTIATE_TEST_SUITE_P(RunAndRunFused, BatchValidationTest,
-                         ::testing::Values(&run_entry, &run_fused_entry),
+                         ::testing::Values(Entry::kRun, Entry::kRunFused),
                          [](const auto& info) {
-                           return info.param == &run_entry ? "run"
-                                                           : "run_fused";
+                           return ::testing::PrintToString(info.param);
                          });
 
 }  // namespace
