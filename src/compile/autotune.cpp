@@ -33,14 +33,14 @@ void AutoTuneOptions::validate() const {
 AutoTuneResult auto_tune(const std::string& registry_id,
                          double accuracy_budget,
                          const AutoTuneOptions& options) {
-  const std::optional<RegistryProgram> entry =
+  const std::optional<RegistryProgram> registered =
       registry_program(registry_id, CompileOptions{});
-  if (!entry) {
+  if (!registered) {
     throw std::invalid_argument("auto_tune: unknown registry function '" +
                                 registry_id + "'");
   }
-  const std::size_t arity = entry->arity();
-  const auto& f = entry->reference;
+  const std::size_t arity = registered->arity();
+  const auto& f = registered->reference;
   if (!(accuracy_budget > 0.0)) {
     throw std::invalid_argument("auto_tune: accuracy budget must be > 0");
   }

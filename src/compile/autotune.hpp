@@ -77,8 +77,9 @@ struct AutoTuneResult {
 /// grid_points^arity MC grid. When no candidate meets the budget, `met`
 /// is false and `chosen`/`program` hold the best (lowest-MAE)
 /// configuration seen. Deterministic for a fixed seed.
-/// \throws std::invalid_argument on an unknown id, invalid options or a
-///         non-positive budget.
+/// \throws std::invalid_argument on an unknown id, invalid options (a
+///         degree candidate of 0 included for an N-ary entry, whose
+///         factors need degree >= 1) or a non-positive budget.
 [[nodiscard]] AutoTuneResult auto_tune(const std::string& registry_id,
                                        double accuracy_budget,
                                        const AutoTuneOptions& options = {});

@@ -194,11 +194,11 @@ PrewarmReport ProgramServer::prewarm(const PrewarmOptions& options) {
   // probe (contains() perturbs neither the LRU order nor the counters).
   std::mutex report_mutex;
   std::unique_ptr<engine::ThreadPool> pool = acquire_pool();
-  for (const compile::RegistryProgram& entry : manifest) {
-    pool->submit([this, &entry, &report, &report_mutex] {
-      if (compiler_.cache().contains(entry.key)) return;
+  for (const compile::RegistryProgram& program : manifest) {
+    pool->submit([this, &program, &report, &report_mutex] {
+      if (compiler_.cache().contains(program.key)) return;
       try {
-        (void)compiler_.compile(entry);
+        (void)compiler_.compile(program);
         cache_prewarmed_.inc();
         std::lock_guard<std::mutex> lock(report_mutex);
         ++report.compiled;
@@ -206,7 +206,7 @@ PrewarmReport ProgramServer::prewarm(const PrewarmOptions& options) {
         std::lock_guard<std::mutex> lock(report_mutex);
         ++report.compile_errors;
         if (report.message.empty()) {
-          report.message = "prewarm: compile '" + entry.key.function_id +
+          report.message = "prewarm: compile '" + program.key.function_id +
                            "': " + e.what();
         }
       }
@@ -388,34 +388,34 @@ ProgramServer::Resolved ProgramServer::resolve(const ServeRequest& request) {
 
     compile::CompileOptions base = options_.compile;
     if (request.sng_width.has_value()) base.sng_width = *request.sng_width;
-    std::optional<compile::RegistryProgram> entry =
+    std::optional<compile::RegistryProgram> registered =
         compile::registry_program(spec.function_id, base, spec.degree);
-    if (!entry) {
+    if (!registered) {
       throw ServeError(404, "unknown_function",
                        "unknown function '" + spec.function_id + "'");
     }
-    require_arity("function '" + spec.function_id + "'", entry->arity(),
+    require_arity("function '" + spec.function_id + "'", registered->arity(),
                   arity);
     // Cold-compile admission: expensive high-degree pipelines only run
     // when the program is already resident.
-    if (entry->admission_degree() > options_.max_cold_degree &&
-        !compiler_.cache().contains(entry->key)) {
+    if (registered->admission_degree() > options_.max_cold_degree &&
+        !compiler_.cache().contains(registered->key)) {
       throw ServeError(
           429, "compile_budget",
           "cold compile at degree " +
-              std::to_string(entry->admission_degree()) +
+              std::to_string(registered->admission_degree()) +
               " exceeds the admission budget (max_cold_degree = " +
               std::to_string(options_.max_cold_degree) + ")");
     }
     std::shared_ptr<const compile::CompiledProgram> program;
     try {
-      program = compiler_.compile(*entry);
+      program = compiler_.compile(*registered);
     } catch (const std::invalid_argument& e) {
       throw ServeError(400, "bad_request", e.what());
     }
     programs.push_back(program->program());
     resolved.holds.push_back(std::move(program));
-    resolved.refs.push_back(std::move(entry->reference));  // registry f
+    resolved.refs.push_back(std::move(registered->reference));  // registry f
   }
 
   // Pass 2: elevate every program to the common per-axis orders (value-
