@@ -6,18 +6,25 @@
 ///        of a saved cache file (each frame leads with
 ///        ProgramKey::digest()), so the pin covers exactly what a request
 ///        resolves and what a persisted cache file is addressed by: a
-///        change here orphans every cache file written before it.
+///        change here orphans every cache file written before it. The
+///        same file, reloaded into a fresh cache, pins what every record
+///        restores: the run program, the kernel orders, the fit report and
+///        the certificate.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/binio.hpp"
 #include "common/json.hpp"
+#include "compile/cache.hpp"
+#include "compile/registry.hpp"
 #include "serve/server.hpp"
 
 namespace oscs::serve {
@@ -66,11 +73,9 @@ std::string request_line(const PinnedKey& entry, const std::string& extra) {
   return line + R"(, "stream_lengths": [64], "repeats": 1)" + extra + "}";
 }
 
-/// Serves every pinned id once on a default server, then returns the key
-/// digests of the saved cache file's records - one per id, in serve order
-/// (the file is written least-recently-used first).
-std::vector<std::uint64_t> served_digests(const std::string& extra) {
-  ProgramServer server;
+/// Serves every pinned id once on `server`, then returns the bytes of its
+/// saved cache file.
+std::string served_cache_file(ProgramServer& server, const std::string& extra) {
   for (const PinnedKey& entry : kPinned) {
     const std::string line = request_line(entry, extra);
     const JsonValue doc = json_parse(server.handle_json(line));
@@ -78,7 +83,15 @@ std::vector<std::uint64_t> served_digests(const std::string& extra) {
   }
   std::ostringstream file;
   EXPECT_EQ(server.compiler().cache().save(file), kPinned.size());
-  const std::string bytes = file.str();
+  return file.str();
+}
+
+/// Serves every pinned id once on a default server, then returns the key
+/// digests of the saved cache file's records - one per id, in serve order
+/// (the file is written least-recently-used first).
+std::vector<std::uint64_t> served_digests(const std::string& extra) {
+  ProgramServer server;
+  const std::string bytes = served_cache_file(server, extra);
   BinReader reader(bytes);
   (void)reader.take(8);  // magic
   (void)reader.u32();    // format version
@@ -114,6 +127,136 @@ TEST(RegistryKeyDigest, ServingKeysWithDegreeOverride) {
   ASSERT_EQ(digests.size(), kPinned.size());
   for (std::size_t i = 0; i < kPinned.size(); ++i) {
     EXPECT_EQ(hex(digests[i]), hex(kPinned[i].degree2_digest))
+        << kPinned[i].id;
+  }
+}
+
+/// The fit figures a record restores, in the order the content digest
+/// reads them.
+struct FitFigures {
+  std::vector<std::size_t> degrees;  ///< per-axis fit degrees
+  double max_error = 0.0;
+  double l2_error = 0.0;
+  double feasibility_gap = 0.0;
+  bool clamped = false;
+  bool target_met = false;
+  std::vector<double> term_errors;
+  double max_coeff_delta = 0.0;  ///< largest quantization snap
+};
+
+FitFigures fit_figures(const compile::CompiledProgram& program) {
+  FitFigures fit;
+  if (program.is_nd()) {
+    const compile::ProjectionResultN& projection = program.projection_nd();
+    fit.degrees.assign(projection.arity, projection.program.factor_degree());
+    fit.max_error = projection.max_error;
+    fit.l2_error = projection.l2_error;
+    fit.target_met = projection.target_met;
+    fit.term_errors = projection.term_errors;
+    for (const compile::QuantizationResult& q :
+         program.factor_quantizations()) {
+      fit.max_coeff_delta = std::max(fit.max_coeff_delta, q.max_coeff_delta);
+    }
+  } else if (program.is_bivariate()) {
+    const compile::ProjectionResult2& projection = program.projection2();
+    fit.degrees = {projection.degree_x, projection.degree_y};
+    fit.max_error = projection.max_error;
+    fit.l2_error = projection.l2_error;
+    fit.feasibility_gap = projection.feasibility_gap;
+    fit.clamped = projection.clamped;
+    fit.target_met = projection.target_met;
+    fit.max_coeff_delta = program.quantization2().max_coeff_delta;
+  } else {
+    const compile::ProjectionResult& projection = program.projection();
+    fit.degrees = {projection.degree};
+    fit.max_error = projection.max_error;
+    fit.l2_error = projection.l2_error;
+    fit.feasibility_gap = projection.feasibility_gap;
+    fit.clamped = projection.clamped;
+    fit.target_met = projection.target_met;
+    fit.max_coeff_delta = program.quantization().max_coeff_delta;
+  }
+  return fit;
+}
+
+/// FNV-1a over everything a reloaded record restores: the run program's
+/// coefficients, weights and axes, the kernel's per-axis orders and the
+/// elevation flag, the fit figures and every certificate field.
+std::uint64_t content_digest(const compile::CompiledProgram& program) {
+  Fnv1a d;
+  const stochastic::SeparableProgram& run = program.program();
+  d.u64(run.arity());
+  if (run.has_dense2()) {
+    for (double c : run.dense2().coeffs()) d.f64(c);
+  }
+  for (const stochastic::SeparableTerm& term : run.terms()) {
+    d.f64(term.weight);
+    for (const stochastic::SeparableFactor& factor : term.factors) {
+      d.u64(factor.axis);
+      for (double c : factor.poly.coeffs()) d.f64(c);
+    }
+  }
+  for (std::size_t order : program.kernel()->orders()) d.u64(order);
+  d.u8(program.elevated() ? 1 : 0);
+
+  const FitFigures fit = fit_figures(program);
+  for (std::size_t degree : fit.degrees) d.u64(degree);
+  d.f64(fit.max_error).f64(fit.l2_error).f64(fit.feasibility_gap);
+  d.u8(fit.clamped ? 1 : 0).u8(fit.target_met ? 1 : 0);
+  for (double e : fit.term_errors) d.f64(e);
+  d.f64(fit.max_coeff_delta);
+
+  const std::optional<compile::Certification>& cert = program.certification();
+  d.u8(cert.has_value() ? 1 : 0);
+  if (cert.has_value()) {
+    d.f64(cert->op.probe_power_mw).f64(cert->op.ber).f64(cert->op.snr);
+    d.f64(cert->op.threshold_mw).u64(cert->op.stream_length);
+    d.u32(cert->op.sng_width);
+    d.u64(cert->stream_length).u64(cert->repeats).u64(cert->grid_points);
+    d.u8(cert->noise_enabled ? 1 : 0);
+    d.f64(cert->mc_mae).f64(cert->mc_mae_ci).f64(cert->mc_worst);
+    d.f64(cert->electronic_mae).f64(cert->approx_max_error);
+  }
+  return d.value();
+}
+
+// Content digests of the reloaded records at the registry degree caps, in
+// kPinned order.
+const std::vector<std::uint64_t> kPinnedContent = {
+    0x98dfe8a9a0fdb72b,  // sigmoid
+    0x8ba6cf734f0cfc05,  // tanh
+    0xc8575b481408250c,  // sin
+    0xdd22280bbb296bea,  // cos
+    0x8145723b4e96c26b,  // exp_neg
+    0xd528f8c8244adcc0,  // sqrt
+    0xc8c32cdb93fca04e,  // square
+    0xa5659bf0366e4280,  // cube
+    0x9ce4fc5e243ca1b2,  // gamma
+    0x99e0294aecebeee9,  // mul
+    0x9b178969ea7a96a1,  // alpha_blend
+    0xe0a2b464a7b61582,  // euclid2
+    0x5478b31a19cc40f6,  // bilinear_gamma
+    0x71a93efb5b026b15,  // rgb_luma
+    0xcd892e7a1c6966dc,  // trilinear_mix
+    0x65564caf84ce4fa8,  // smoothstep3
+};
+
+TEST(RegistryKeyDigest, ReloadedProgramContents) {
+  ProgramServer server;
+  std::istringstream file(served_cache_file(server, ""));
+  compile::ProgramCache reloaded(kPinned.size());
+  const compile::CacheLoadReport report = reloaded.load(file);
+  EXPECT_EQ(report.loaded, kPinned.size());
+  EXPECT_EQ(report.errors, 0u);
+  ASSERT_EQ(kPinnedContent.size(), kPinned.size());
+  for (std::size_t i = 0; i < kPinned.size(); ++i) {
+    const std::optional<compile::RegistryProgram> registered =
+        compile::registry_program(kPinned[i].id, server.options().compile);
+    ASSERT_TRUE(registered.has_value()) << kPinned[i].id;
+    const std::shared_ptr<const compile::CompiledProgram> program =
+        reloaded.get(registered->key);
+    ASSERT_NE(program, nullptr) << kPinned[i].id;
+    EXPECT_EQ(hex(content_digest(*program)), hex(kPinnedContent[i]))
         << kPinned[i].id;
   }
 }
