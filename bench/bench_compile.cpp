@@ -64,20 +64,20 @@ int main(int argc, char** argv) {
     const auto program = compiler.compile(fn.id);
     const double cold_ms = ms_since(t0);
     total_cold_ms += cold_ms;
-    const cc::ProjectionResult& proj = program->projection();
+    const cc::FitReport& fit = program->report();
     const cc::Certification& cert = *program->certification();
     all_pass = all_pass && cert.mc_mae <= 0.02;
     std::printf("  %-10s %-7zu %-9.2e %-10.3g %.4f +/- %-8.4f %-9.4f "
                 "%6.1f ms\n",
-                fn.id.c_str(), proj.degree, proj.max_error,
-                proj.feasibility_gap, cert.mc_mae, cert.mc_mae_ci,
+                fn.id.c_str(), fit.degrees.front(), fit.max_error,
+                fit.feasibility_gap, cert.mc_mae, cert.mc_mae_ci,
                 cert.mc_worst, cold_ms);
     report.start_row();
     report.cell(fn.id);
-    report.cell(proj.degree);
-    report.cell(proj.clamped ? 1 : 0);
-    report.cell(proj.feasibility_gap);
-    report.cell(proj.max_error);
+    report.cell(fit.degrees.front());
+    report.cell(fit.clamped ? 1 : 0);
+    report.cell(fit.feasibility_gap);
+    report.cell(fit.max_error);
     report.cell(cert.mc_mae);
     report.cell(cert.mc_mae_ci);
     report.cell(cert.mc_worst);

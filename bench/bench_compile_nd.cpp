@@ -88,12 +88,12 @@ int main(int argc, char** argv) {
     (void)compiler.compile_nd(fn.id);  // warm hit: same key, no pipeline
     entry.warm_seconds = seconds_since(t_warm);
 
-    const cc::ProjectionResultN& projection = program->projection_nd();
+    const cc::FitReport& fit = program->report();
     entry.arity = program->arity();
     entry.degree = program->circuit_order();
-    entry.terms = projection.terms;
-    entry.term_errors = projection.term_errors;
-    entry.fit_max_error = projection.max_error;
+    entry.terms = program->program_nd().term_count();
+    entry.term_errors = fit.term_errors;
+    entry.fit_max_error = fit.max_error;
     const cc::Certification& cert = program->certification().value();
     entry.mc_mae = cert.mc_mae;
     entry.mc_mae_ci = cert.mc_mae_ci;

@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
     std::printf("certified: MC MAE %.5f +/- %.5f over a %zux%zu grid at "
                 "%zu bits\n\n",
                 cert.mc_mae, cert.mc_mae_ci, cert.grid_points,
-                cert.grid_points, cert.stream_length);
+                cert.grid_points, cert.op.stream_length);
   }
 
   // 2. Batch-evaluate a small pixel x alpha blend table.

@@ -69,22 +69,21 @@ int run_demo(int argc, char** argv) {
   const auto program = compiler.compile(fn->id);
   const double cold_ms = ms_since(t0);
 
-  const cc::ProjectionResult& proj = program->projection();
+  const cc::FitReport& fit = program->report();
   std::printf("projection : degree %zu%s, sup error %.2e, L2 error %.2e\n",
-              proj.degree, proj.target_met ? "" : " (best effort)",
-              proj.max_error, proj.l2_error);
-  if (proj.clamped) {
+              fit.degrees.front(), fit.target_met ? "" : " (best effort)",
+              fit.max_error, fit.l2_error);
+  if (fit.clamped) {
     std::printf("             [0,1] constraint active, feasibility gap %.3g\n",
-                proj.feasibility_gap);
+                fit.feasibility_gap);
   }
   std::printf("coefficients:");
   for (double b : program->poly().coeffs()) std::printf(" %.4f", b);
   std::printf("\n");
   std::printf("quantization: width %u, max coeff delta %.2e "
               "(induced error bound %.2e)\n",
-              program->quantization().width,
-              program->quantization().max_coeff_delta,
-              program->quantization().induced_error_bound);
+              program->key().width, fit.max_coeff_delta,
+              fit.max_coeff_delta);
   std::printf("codegen    : order-%zu circuit, design-point BER %.2g "
               "(probe %.2f mW), mux-exact %s%s\n",
               program->circuit_order(), program->design_point().ber,
@@ -98,8 +97,8 @@ int run_demo(int argc, char** argv) {
               cert.mc_mae, cert.mc_mae_ci, cert.mc_worst);
   std::printf("             %zu-bit streams x %zu repeats x %zu grid "
               "points, noise %s\n",
-              cert.stream_length, cert.repeats, cert.grid_points,
-              cert.noise_enabled ? "on" : "off");
+              cert.op.stream_length, cert.repeats, cert.grid_points,
+              cert.op.noisy() ? "on" : "off");
   std::printf("             approximation floor (no sampling): %.2e\n",
               cert.approx_max_error);
 

@@ -131,10 +131,8 @@ Certification certify_at(
 
   Certification cert;
   cert.op = op;
-  cert.stream_length = op.stream_length;
   cert.repeats = options.repeats;
   cert.grid_points = options.grid_points;
-  cert.noise_enabled = op.noisy();
 
   // Per-cell error versus the double-precision reference. The cells carry
   // the MC mean and its CI; the MAE CI follows by independence of the

@@ -1,5 +1,6 @@
 #include "compile/compiler.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <optional>
@@ -7,6 +8,7 @@
 #include <utility>
 
 #include "common/binio.hpp"
+#include "compile/quantize.hpp"
 #include "compile/registry.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -95,6 +97,23 @@ std::shared_ptr<const CompiledProgram> run_pipeline(
   return program;
 }
 
+/// The fit report of a dense (uni/bivariate) projection at per-axis
+/// `degrees` whose quantization snapped coefficients by at most
+/// `max_coeff_delta`.
+template <typename Projection>
+FitReport dense_report(std::vector<std::size_t> degrees,
+                       const Projection& projection, double max_coeff_delta) {
+  FitReport report;
+  report.degrees = std::move(degrees);
+  report.max_error = projection.max_error;
+  report.l2_error = projection.l2_error;
+  report.feasibility_gap = projection.feasibility_gap;
+  report.clamped = projection.clamped;
+  report.target_met = projection.target_met;
+  report.max_coeff_delta = max_coeff_delta;
+  return report;
+}
+
 /// Registry entry `id` at `defaults`, for the by-id compile entry points:
 /// each serves one catalogue - the entries of arity [min_arity,
 /// max_arity] - and names it (`kind`) when `id` is not there.
@@ -168,12 +187,14 @@ std::shared_ptr<const CompiledProgram> compile_function(
   return run_pipeline(
       options,
       [&] { return project(f, options.projection); },
-      [&](ProjectionResult projection) {
+      [&](const ProjectionResult& projection) {
         QuantizationResult quantized =
             quantize(projection.poly, options.sng_width);
         return std::make_shared<CompiledProgram>(
-            make_program_key(function_id, options), std::move(projection),
-            std::move(quantized));
+            make_program_key(function_id, options),
+            stochastic::SeparableProgram(std::move(quantized.poly)),
+            dense_report({projection.degree}, projection,
+                         quantized.max_coeff_delta));
       },
       [&](const CompiledProgram& program) {
         return certify(program, f, options.certification);
@@ -216,12 +237,14 @@ std::shared_ptr<const CompiledProgram> compile_function2(
   return run_pipeline(
       options,
       [&] { return project2(f, options.projection2); },
-      [&](ProjectionResult2 projection) {
+      [&](const ProjectionResult2& projection) {
         QuantizationResult2 quantized =
             quantize2(projection.poly, options.sng_width);
         return std::make_shared<CompiledProgram>(
-            make_program_key2(function_id, options), std::move(projection),
-            std::move(quantized));
+            make_program_key2(function_id, options),
+            stochastic::SeparableProgram(std::move(quantized.poly)),
+            dense_report({projection.degree_x, projection.degree_y},
+                         projection, quantized.max_coeff_delta));
       },
       [&](const CompiledProgram& program) {
         return certify2(program, f, options.certification);
@@ -260,7 +283,12 @@ std::shared_ptr<const CompiledProgram> compile_function_nd(
         // Per-factor quantization onto the shared SNG comparator grid,
         // then the program is rebuilt from the quantized factors (weights
         // fold arithmetically in the engine and stay unquantized).
-        std::vector<QuantizationResult> factor_quant;
+        FitReport report;
+        report.degrees.assign(arity, projection.program.factor_degree());
+        report.max_error = projection.max_error;
+        report.l2_error = projection.l2_error;
+        report.target_met = projection.target_met;
+        report.term_errors = std::move(projection.term_errors);
         std::vector<stochastic::SeparableTerm> quantized_terms;
         quantized_terms.reserve(projection.program.term_count());
         for (const stochastic::SeparableTerm& term :
@@ -270,18 +298,17 @@ std::shared_ptr<const CompiledProgram> compile_function_nd(
           quantized_term.factors.reserve(term.factors.size());
           for (const stochastic::SeparableFactor& factor : term.factors) {
             QuantizationResult q = quantize(factor.poly, options.sng_width);
+            report.max_coeff_delta =
+                std::max(report.max_coeff_delta, q.max_coeff_delta);
             quantized_term.factors.push_back(
-                stochastic::SeparableFactor{factor.axis, q.poly});
-            factor_quant.push_back(std::move(q));
+                stochastic::SeparableFactor{factor.axis, std::move(q.poly)});
           }
           quantized_terms.push_back(std::move(quantized_term));
         }
-        stochastic::SeparableProgram quantized(arity,
-                                               std::move(quantized_terms));
         return std::make_shared<CompiledProgram>(
             make_program_key_nd(function_id, arity, options),
-            std::move(projection), std::move(factor_quant),
-            std::move(quantized));
+            stochastic::SeparableProgram(arity, std::move(quantized_terms)),
+            std::move(report));
       },
       [&](const CompiledProgram& program) {
         return certify_nd(program, f, options.certification);

@@ -20,10 +20,10 @@ std::string certification_json(const CompiledProgram& program) {
         .field("error_budget", *program.certified_error_budget())
         .field("electronic_mae", cert->electronic_mae)
         .field("approx_max_error", cert->approx_max_error)
-        .field("stream_length", cert->stream_length)
+        .field("stream_length", cert->op.stream_length)
         .field("repeats", cert->repeats)
         .field("grid_points", cert->grid_points)
-        .field("noise_enabled", cert->noise_enabled);
+        .field("noise_enabled", cert->op.noisy());
   }
   json.end_object();
   return json.str();

@@ -1,5 +1,6 @@
 #include "compile/program.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -30,24 +31,34 @@ std::size_t ProgramKeyHash::operator()(const ProgramKey& key) const noexcept {
 
 namespace {
 
-/// The circuit needs at least one data channel per input bank; elevation
-/// duplicates a degenerate coefficient row/column (value-preserving), so
-/// every z stream encodes the same quantized level and the comparator
-/// grid is preserved exactly.
-stochastic::BernsteinPoly circuit_poly(const stochastic::BernsteinPoly& poly) {
-  return poly.degree() == 0 ? poly.elevated() : poly;
-}
-
-stochastic::BernsteinPoly2 circuit_poly2(
-    const stochastic::BernsteinPoly2& poly) {
-  const std::size_t lift_x = poly.deg_x() == 0 ? 1 : 0;
-  const std::size_t lift_y = poly.deg_y() == 0 ? 1 : 0;
-  return lift_x + lift_y > 0 ? poly.elevated(lift_x, lift_y) : poly;
+/// `program` elevated to the circuit minimum of order 1 on every axis.
+/// Elevating a degree-0 axis duplicates its coefficients, so every z
+/// stream encodes the same quantized level and the comparator grid is
+/// preserved exactly.
+stochastic::SeparableProgram circuit_program(
+    stochastic::SeparableProgram program) {
+  std::vector<std::size_t> orders = program.orders();
+  if (std::find(orders.begin(), orders.end(), std::size_t{0}) ==
+      orders.end()) {
+    return program;
+  }
+  for (std::size_t& order : orders) order = std::max<std::size_t>(order, 1);
+  return program.elevated_to(orders);
 }
 
 }  // namespace
 
-void CompiledProgram::build_backend(std::vector<std::size_t> orders) {
+CompiledProgram::CompiledProgram(ProgramKey key,
+                                 stochastic::SeparableProgram quantized,
+                                 FitReport report)
+    : key_(std::move(key)),
+      report_(std::move(report)),
+      program_(circuit_program(std::move(quantized))) {
+  if (report_.degrees.size() != program_.arity()) {
+    throw std::invalid_argument(
+        "CompiledProgram: the fit report needs one degree per input");
+  }
+  std::vector<std::size_t> orders = program_.orders();
   for (std::size_t order : orders) {
     if (order > engine::PackedKernel::kMaxOrder) {
       throw std::invalid_argument(
@@ -64,58 +75,10 @@ void CompiledProgram::build_backend(std::vector<std::size_t> orders) {
       kernel, [circuit = circuit_](const engine::PackedKernel* k) {
         delete k;
       });
+  kernel_->check_program(program_);
   design_point_ =
       optsc::design_operating_point(*circuit_, /*stream_length=*/1024,
                                     /*sng_width=*/key_.width);
-}
-
-CompiledProgram::CompiledProgram(ProgramKey key, ProjectionResult projection,
-                                 QuantizationResult quantization)
-    : key_(std::move(key)),
-      projection_(std::move(projection)),
-      quantization_(std::move(quantization)),
-      program_(circuit_poly(quantization_->poly)) {
-  build_backend({program_.dense1().degree()});
-}
-
-CompiledProgram::CompiledProgram(ProgramKey key, ProjectionResult2 projection,
-                                 QuantizationResult2 quantization)
-    : key_(std::move(key)),
-      projection2_(std::move(projection)),
-      quantization2_(std::move(quantization)),
-      program_(circuit_poly2(quantization2_->poly)) {
-  build_backend({program_.dense2().deg_x(), program_.dense2().deg_y()});
-}
-
-CompiledProgram::CompiledProgram(
-    ProgramKey key, ProjectionResultN projection,
-    std::vector<QuantizationResult> factor_quantizations,
-    stochastic::SeparableProgram quantized)
-    : key_(std::move(key)),
-      projection_nd_(std::move(projection)),
-      factor_quantizations_(std::move(factor_quantizations)),
-      program_(std::move(quantized)) {
-  if (!is_nd()) {
-    throw std::invalid_argument(
-        "CompiledProgram: dense delegation forms compile through the "
-        "uni/bivariate constructors");
-  }
-  // Every factor stream runs through one shared univariate circuit, so
-  // all factor degrees must agree on its order.
-  const std::size_t order = program_.factor_degree();
-  for (const stochastic::SeparableTerm& term : program_.terms()) {
-    for (const stochastic::SeparableFactor& factor : term.factors) {
-      if (factor.poly.degree() != order) {
-        throw std::invalid_argument(
-            "CompiledProgram: separable factor degrees disagree");
-      }
-    }
-  }
-  if (order == 0) {
-    throw std::invalid_argument(
-        "CompiledProgram: separable factor degree must be >= 1");
-  }
-  build_backend({order});
 }
 
 const stochastic::SeparableProgram& CompiledProgram::program_nd() const {

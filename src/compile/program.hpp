@@ -1,12 +1,13 @@
 #pragma once
 /// \file program.hpp
 /// \brief Codegen stage of the function compiler: a CompiledProgram binds
-///        the quantized coefficient vector to an order-matched optical
-///        circuit with a prebuilt packed kernel, ready to run through
+///        the quantized program (any arity) and its fit report to an
+///        order-matched optical circuit with a prebuilt packed kernel, ready to run through
 ///        PackedKernel::run_nd / BatchRunner with no further setup. Programs
 ///        are immutable once certified and shared by const pointer out of
 ///        the program cache.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -16,10 +17,9 @@
 #include <vector>
 
 #include "common/operating_point.hpp"
-#include "compile/fit.hpp"
-#include "compile/quantize.hpp"
 #include "engine/packed_sim.hpp"
 #include "optsc/circuit.hpp"
+#include "stochastic/separable.hpp"
 
 namespace oscs::compile {
 
@@ -63,12 +63,12 @@ struct ProgramKeyHash {
 /// program compared against the double-precision reference function.
 struct Certification {
   /// Link operating point the MC run evaluated at (probe power, BER,
-  /// stream length, SNG width) - produced by optsc::LinkBudget.
+  /// stream length, SNG width) - produced by optsc::LinkBudget. Its
+  /// stream_length is the bits per evaluation and noisy() says whether
+  /// receiver noise was applied.
   oscs::OperatingPoint op{};
-  std::size_t stream_length = 0;  ///< bits per evaluation (== op.stream_length)
   std::size_t repeats = 0;        ///< MC repeats per grid point
-  std::size_t grid_points = 0;    ///< x grid size
-  bool noise_enabled = true;      ///< receiver noise applied (op.noisy())
+  std::size_t grid_points = 0;    ///< grid points per axis
   double mc_mae = 0.0;     ///< mean over grid of |optical mean - f(x)|
   double mc_mae_ci = 0.0;  ///< 95% CI half-width on mc_mae
   double mc_worst = 0.0;   ///< worst grid point |optical mean - f(x)|
@@ -78,38 +78,44 @@ struct Certification {
   double approx_max_error = 0.0;
 };
 
+/// What the projection and quantization stages report about a compiled
+/// program, in one form for every arity.
+struct FitReport {
+  /// Per-axis fit degrees before the circuit-minimum elevation (every
+  /// axis of a separable program carries its factor degree).
+  std::vector<std::size_t> degrees;
+  double max_error = 0.0;  ///< sup-norm estimate of f - fit
+  /// L2 norm of f - fit (grid RMS for separable fits).
+  double l2_error = 0.0;
+  /// How far the unconstrained least-squares optimum leaves [0,1]; 0 for
+  /// separable fits, which solve on the box.
+  double feasibility_gap = 0.0;
+  bool clamped = false;     ///< the [0,1] constraint was binding
+  bool target_met = false;  ///< max_error <= the projection target
+  /// Separable error trajectory: term_errors[t] is the sup-norm estimate
+  /// with t+1 terms. Empty for dense programs.
+  std::vector<double> term_errors;
+  /// Largest quantization snap |quantized - fitted| over every
+  /// coefficient (every factor). The Bernstein basis is a partition of
+  /// unity, so this is also the analytic sup-norm bound on the error
+  /// quantization induces.
+  double max_coeff_delta = 0.0;
+};
+
 /// A ready-to-run compiled function.
 class CompiledProgram {
  public:
   /// Codegen: build the order-matched circuit (paper reference design) and
-  /// the packed kernel. A degree-0 fit is degree-elevated to order 1 -
-  /// value-preserving, and the minimum the circuit supports.
-  /// \throws std::invalid_argument if the quantized degree exceeds the
-  ///         packed-kernel order limit.
-  CompiledProgram(ProgramKey key, ProjectionResult projection,
-                  QuantizationResult quantization);
-
-  /// Bivariate codegen: the circuit is order-matched to the x axis (the
-  /// paper reference design drives one MZI chain) and the packed kernel
-  /// is built in its two-input tensor-product mode. A degree-0 axis is
-  /// elevated to 1 - value-preserving, and the minimum per input bank.
-  /// \throws std::invalid_argument if either quantized degree exceeds the
-  ///         packed-kernel order limit.
-  CompiledProgram(ProgramKey key, ProjectionResult2 projection,
-                  QuantizationResult2 quantization);
-
-  /// N-ary separable codegen: every factor of the quantized sum-of-rank-1
-  /// program runs through ONE univariate circuit order-matched to the
-  /// (shared) factor degree, so codegen stays the paper reference design.
-  /// `factor_quantizations` carries the per-factor quantization outcomes
-  /// in term-major factor order; `quantized` is the program rebuilt from
-  /// those quantized factors.
-  /// \throws std::invalid_argument if the factor degree is 0 or exceeds
-  ///         the packed-kernel order limit, factor degrees disagree, or
-  ///         the program is a dense delegation form.
-  CompiledProgram(ProgramKey key, ProjectionResultN projection,
-                  std::vector<QuantizationResult> factor_quantizations,
-                  stochastic::SeparableProgram quantized);
+  /// the packed kernel for `quantized` - a dense univariate or bivariate
+  /// Bernstein program, or a sum-of-rank-1 program whose factors share one
+  /// degree. A degree-0 axis is elevated to order 1, value-preserving and
+  /// the minimum the circuit supports.
+  /// \throws std::invalid_argument if an order exceeds the packed-kernel
+  ///         order limit, the program does not run on the kernel
+  ///         (PackedKernel::check_program), or `report` does not carry one
+  ///         degree per program input.
+  CompiledProgram(ProgramKey key, stochastic::SeparableProgram quantized,
+                  FitReport report);
 
   CompiledProgram(const CompiledProgram&) = delete;
   CompiledProgram& operator=(const CompiledProgram&) = delete;
@@ -133,9 +139,8 @@ class CompiledProgram {
     return program_.has_dense2();
   }
 
-  /// True for N-ary sum-of-separable programs (compile_nd). The separable
-  /// accessors (program_nd/projection_nd/factor_quantizations) are only
-  /// meaningful when this is true.
+  /// True for N-ary sum-of-separable programs (compile_nd); program_nd()
+  /// is only meaningful when this is true.
   [[nodiscard]] bool is_nd() const noexcept {
     return !program_.has_dense1() && !program_.has_dense2();
   }
@@ -168,35 +173,14 @@ class CompiledProgram {
   [[nodiscard]] std::size_t circuit_order_y() const noexcept {
     return kernel_->orders().size() > 1 ? kernel_->orders()[1] : 0;
   }
-  /// True when a degree-0 fit (either axis for bivariate programs) was
-  /// elevated to meet the order-1 circuit minimum. Separable programs fit
-  /// at a fixed factor degree >= 1 and never elevate.
+  /// True when a degree-0 fit on some axis was elevated to meet the
+  /// order-1 circuit minimum.
   [[nodiscard]] bool elevated() const noexcept {
-    if (is_nd()) return false;
-    return is_bivariate() ? (projection2_->degree_x == 0 ||
-                             projection2_->degree_y == 0)
-                          : projection_->degree == 0;
+    return std::find(report_.degrees.begin(), report_.degrees.end(),
+                     std::size_t{0}) != report_.degrees.end();
   }
-  /// Univariate projection outcome.
-  /// \throws std::bad_optional_access on a bivariate or N-ary program.
-  [[nodiscard]] const ProjectionResult& projection() const {
-    return projection_.value();
-  }
-  /// Univariate quantization outcome.
-  /// \throws std::bad_optional_access on a bivariate or N-ary program.
-  [[nodiscard]] const QuantizationResult& quantization() const {
-    return quantization_.value();
-  }
-  /// Bivariate projection outcome.
-  /// \throws std::bad_optional_access on a univariate program.
-  [[nodiscard]] const ProjectionResult2& projection2() const {
-    return projection2_.value();
-  }
-  /// Bivariate quantization outcome.
-  /// \throws std::bad_optional_access on a univariate program.
-  [[nodiscard]] const QuantizationResult2& quantization2() const {
-    return quantization2_.value();
-  }
+  /// Projection and quantization outcome.
+  [[nodiscard]] const FitReport& report() const noexcept { return report_; }
   [[nodiscard]] const optsc::OpticalScCircuit& circuit() const noexcept {
     return *circuit_;
   }
@@ -229,18 +213,6 @@ class CompiledProgram {
   /// shared out of the cache).
   void attach_certification(Certification cert) { cert_ = cert; }
 
-  /// Separable projection outcome.
-  /// \throws std::bad_optional_access on a dense (uni/bivariate) program.
-  [[nodiscard]] const ProjectionResultN& projection_nd() const {
-    return projection_nd_.value();
-  }
-  /// Per-factor quantization outcomes, term-major factor order (empty for
-  /// dense programs).
-  [[nodiscard]] const std::vector<QuantizationResult>& factor_quantizations()
-      const noexcept {
-    return factor_quantizations_;
-  }
-
   /// One evaluation at `point` (one coordinate per input) through the
   /// packed kernel.
   /// \throws std::invalid_argument on a point arity mismatch.
@@ -251,17 +223,8 @@ class CompiledProgram {
   }
 
  private:
-  /// Shared tail of the constructors: order-limit check, circuit (at the
-  /// first-axis order) + kernel over the per-axis `orders` + design point.
-  void build_backend(std::vector<std::size_t> orders);
-
   ProgramKey key_;
-  std::optional<ProjectionResult> projection_;
-  std::optional<QuantizationResult> quantization_;
-  std::optional<ProjectionResult2> projection2_;
-  std::optional<QuantizationResult2> quantization2_;
-  std::optional<ProjectionResultN> projection_nd_;
-  std::vector<QuantizationResult> factor_quantizations_;
+  FitReport report_;
   stochastic::SeparableProgram program_;  ///< the run form (see program())
   std::shared_ptr<optsc::OpticalScCircuit> circuit_;  ///< kernel points here
   std::shared_ptr<const engine::PackedKernel> kernel_;

@@ -14,11 +14,27 @@ namespace {
 /// absurd rebuild loop.
 constexpr std::uint64_t kMaxStructCount = 1u << 20;
 
-void check_unit_box(const std::vector<double>& coeffs) {
+/// Program layout byte leading every program encoding.
+constexpr std::uint8_t kDenseLayout = 1;  ///< per-axis orders + grid
+constexpr std::uint8_t kTermLayout = 2;   ///< sum-of-rank-1 terms
+
+/// Every coefficient the SNG hardware runs is a comparator level: finite,
+/// in [0,1] and a multiple of 2^-width.
+void check_levels(const std::vector<double>& coeffs, unsigned width) {
+  if (coeffs.empty()) {
+    throw BinIoError("serialize: empty Bernstein coefficient vector");
+  }
+  const double scale = std::ldexp(1.0, static_cast<int>(width));
   for (double c : coeffs) {
     if (!std::isfinite(c) || c < 0.0 || c > 1.0) {
       throw BinIoError("serialize: coefficient " + std::to_string(c) +
                        " outside the stochastic [0,1] box");
+    }
+    const double level = c * scale;  // exact: scale is a power of two
+    if (level != std::floor(level)) {
+      throw BinIoError("serialize: coefficient " + std::to_string(c) +
+                       " off the 2^-" + std::to_string(width) +
+                       " comparator grid");
     }
   }
 }
@@ -59,55 +75,62 @@ ProgramKey read_program_key(BinReader& in) {
   return key;
 }
 
-void write_poly(BinWriter& out, const stochastic::BernsteinPoly& poly) {
-  out.f64_vec(poly.coeffs());
-}
-
-stochastic::BernsteinPoly read_poly(BinReader& in, bool unit_box) {
-  std::vector<double> coeffs = in.f64_vec();
-  if (coeffs.empty()) {
-    throw BinIoError("serialize: empty Bernstein coefficient vector");
-  }
-  if (unit_box) check_unit_box(coeffs);
-  return stochastic::BernsteinPoly(std::move(coeffs));
-}
-
-void write_poly2(BinWriter& out, const stochastic::BernsteinPoly2& poly) {
-  out.u64(poly.deg_x()).u64(poly.deg_y()).f64_vec(poly.coeffs());
-}
-
-stochastic::BernsteinPoly2 read_poly2(BinReader& in, bool unit_box) {
-  const std::uint64_t deg_x = in.u64();
-  const std::uint64_t deg_y = in.u64();
-  std::vector<double> coeffs = in.f64_vec();
-  if (deg_x >= kMaxStructCount || deg_y >= kMaxStructCount ||
-      coeffs.size() != (deg_x + 1) * (deg_y + 1)) {
-    throw BinIoError("serialize: 2D coefficient grid shape mismatch");
-  }
-  if (unit_box) check_unit_box(coeffs);
-  return stochastic::BernsteinPoly2(deg_x, deg_y, std::move(coeffs));
-}
-
-void write_separable_program(BinWriter& out,
-                             const stochastic::SeparableProgram& program) {
+void write_program(BinWriter& out,
+                   const stochastic::SeparableProgram& program) {
   if (program.has_dense1() || program.has_dense2()) {
-    // The dense delegation forms persist through the uni/bivariate record
-    // payloads; only general sum-of-rank-1 programs reach this writer.
-    throw std::invalid_argument(
-        "write_separable_program: dense delegation form");
+    const std::vector<std::size_t> orders = program.orders();
+    out.u8(kDenseLayout).u64(orders.size());
+    for (std::size_t order : orders) out.u64(order);
+    out.f64_vec(program.has_dense1() ? program.dense1().coeffs()
+                                     : program.dense2().coeffs());
+    return;
   }
-  out.u64(program.arity()).u64(program.term_count());
+  out.u8(kTermLayout).u64(program.arity()).u64(program.term_count());
   for (const stochastic::SeparableTerm& term : program.terms()) {
     out.f64(term.weight).u64(term.factors.size());
     for (const stochastic::SeparableFactor& factor : term.factors) {
-      out.u64(factor.axis);
-      write_poly(out, factor.poly);
+      out.u64(factor.axis).f64_vec(factor.poly.coeffs());
     }
   }
 }
 
-stochastic::SeparableProgram read_separable_program(BinReader& in,
-                                                    bool unit_box) {
+stochastic::SeparableProgram read_program(BinReader& in, unsigned width) {
+  if (width == 0 || width > 62) {
+    throw BinIoError("serialize: SNG width " + std::to_string(width) +
+                     " outside [1, 62]");
+  }
+  const std::uint8_t layout = in.u8();
+  if (layout == kDenseLayout) {
+    const std::uint64_t axes = in.u64();
+    if (axes != 1 && axes != 2) {
+      throw BinIoError("serialize: dense programs take 1 or 2 axes, not " +
+                       std::to_string(axes));
+    }
+    std::vector<std::size_t> orders(axes);
+    std::uint64_t grid = 1;
+    for (std::size_t& order : orders) {
+      order = in.u64();
+      if (order >= kMaxStructCount) {
+        throw BinIoError("serialize: dense program order out of range");
+      }
+      grid *= order + 1;
+    }
+    std::vector<double> coeffs = in.f64_vec();
+    if (coeffs.size() != grid) {
+      throw BinIoError("serialize: dense coefficient grid shape mismatch");
+    }
+    check_levels(coeffs, width);
+    if (axes == 1) {
+      return stochastic::SeparableProgram(
+          stochastic::BernsteinPoly(std::move(coeffs)));
+    }
+    return stochastic::SeparableProgram(
+        stochastic::BernsteinPoly2(orders[0], orders[1], std::move(coeffs)));
+  }
+  if (layout != kTermLayout) {
+    throw BinIoError("serialize: unknown program layout " +
+                     std::to_string(layout));
+  }
   const std::uint64_t arity = in.u64();
   const std::uint64_t term_count = in.u64();
   if (arity == 0 || arity >= kMaxStructCount || term_count == 0 ||
@@ -128,7 +151,9 @@ stochastic::SeparableProgram read_separable_program(BinReader& in,
     for (std::uint64_t j = 0; j < factor_count; ++j) {
       stochastic::SeparableFactor factor;
       factor.axis = in.u64();
-      factor.poly = read_poly(in, unit_box);
+      std::vector<double> coeffs = in.f64_vec();
+      check_levels(coeffs, width);
+      factor.poly = stochastic::BernsteinPoly(std::move(coeffs));
       term.factors.push_back(std::move(factor));
     }
     terms.push_back(std::move(term));
@@ -139,124 +164,29 @@ stochastic::SeparableProgram read_separable_program(BinReader& in,
   return stochastic::SeparableProgram(arity, std::move(terms));
 }
 
-void write_projection(BinWriter& out, const ProjectionResult& projection) {
-  write_poly(out, projection.poly);
-  out.u64(projection.degree)
-      .f64(projection.max_error)
-      .f64(projection.l2_error)
-      .f64(projection.feasibility_gap)
-      .u8(projection.clamped ? 1 : 0)
-      .u8(projection.target_met ? 1 : 0);
+void write_fit_report(BinWriter& out, const FitReport& report) {
+  out.u64_vec({report.degrees.begin(), report.degrees.end()})
+      .f64(report.max_error)
+      .f64(report.l2_error)
+      .f64(report.feasibility_gap)
+      .u8(report.clamped ? 1 : 0)
+      .u8(report.target_met ? 1 : 0)
+      .f64_vec(report.term_errors)
+      .f64(report.max_coeff_delta);
 }
 
-ProjectionResult read_projection(BinReader& in) {
-  ProjectionResult projection;
-  // The projection poly is the pre-quantization constrained fit; it obeys
-  // the unit box by construction, so enforce it on the way back in.
-  projection.poly = read_poly(in, /*unit_box=*/true);
-  projection.degree = in.u64();
-  projection.max_error = in.f64();
-  projection.l2_error = in.f64();
-  projection.feasibility_gap = in.f64();
-  projection.clamped = read_bool(in) != 0;
-  projection.target_met = read_bool(in) != 0;
-  return projection;
-}
-
-void write_projection2(BinWriter& out, const ProjectionResult2& projection) {
-  write_poly2(out, projection.poly);
-  out.u64(projection.degree_x)
-      .u64(projection.degree_y)
-      .f64(projection.max_error)
-      .f64(projection.l2_error)
-      .f64(projection.feasibility_gap)
-      .u8(projection.clamped ? 1 : 0)
-      .u8(projection.target_met ? 1 : 0);
-}
-
-ProjectionResult2 read_projection2(BinReader& in) {
-  ProjectionResult2 projection;
-  projection.poly = read_poly2(in, /*unit_box=*/true);
-  projection.degree_x = in.u64();
-  projection.degree_y = in.u64();
-  projection.max_error = in.f64();
-  projection.l2_error = in.f64();
-  projection.feasibility_gap = in.f64();
-  projection.clamped = read_bool(in) != 0;
-  projection.target_met = read_bool(in) != 0;
-  return projection;
-}
-
-void write_projection_nd(BinWriter& out, const ProjectionResultN& projection) {
-  write_separable_program(out, projection.program);
-  out.u64(projection.arity)
-      .u64(projection.terms)
-      .f64(projection.max_error)
-      .f64(projection.l2_error)
-      .f64_vec(projection.term_errors)
-      .u8(projection.target_met ? 1 : 0);
-}
-
-ProjectionResultN read_projection_nd(BinReader& in) {
-  ProjectionResultN projection;
-  projection.program = read_separable_program(in, /*unit_box=*/true);
-  projection.arity = in.u64();
-  projection.terms = in.u64();
-  projection.max_error = in.f64();
-  projection.l2_error = in.f64();
-  projection.term_errors = in.f64_vec();
-  projection.target_met = read_bool(in) != 0;
-  if (projection.arity != projection.program.arity()) {
-    throw BinIoError("serialize: separable projection arity mismatch");
-  }
-  return projection;
-}
-
-void write_quantization(BinWriter& out,
-                        const QuantizationResult& quantization) {
-  write_poly(out, quantization.poly);
-  out.u64_vec(quantization.levels)
-      .u32(quantization.width)
-      .f64(quantization.max_coeff_delta)
-      .f64(quantization.induced_error_bound);
-}
-
-QuantizationResult read_quantization(BinReader& in) {
-  QuantizationResult quantization;
-  // Quantized coefficients are what the SNG hardware runs: strict unit box.
-  quantization.poly = read_poly(in, /*unit_box=*/true);
-  quantization.levels = in.u64_vec();
-  quantization.width = in.u32();
-  quantization.max_coeff_delta = in.f64();
-  quantization.induced_error_bound = in.f64();
-  if (quantization.levels.size() != quantization.poly.coeffs().size()) {
-    throw BinIoError(
-        "serialize: quantization level/coefficient count mismatch");
-  }
-  return quantization;
-}
-
-void write_quantization2(BinWriter& out,
-                         const QuantizationResult2& quantization) {
-  write_poly2(out, quantization.poly);
-  out.u64_vec(quantization.levels)
-      .u32(quantization.width)
-      .f64(quantization.max_coeff_delta)
-      .f64(quantization.induced_error_bound);
-}
-
-QuantizationResult2 read_quantization2(BinReader& in) {
-  QuantizationResult2 quantization;
-  quantization.poly = read_poly2(in, /*unit_box=*/true);
-  quantization.levels = in.u64_vec();
-  quantization.width = in.u32();
-  quantization.max_coeff_delta = in.f64();
-  quantization.induced_error_bound = in.f64();
-  if (quantization.levels.size() != quantization.poly.coeffs().size()) {
-    throw BinIoError(
-        "serialize: quantization level/coefficient count mismatch");
-  }
-  return quantization;
+FitReport read_fit_report(BinReader& in) {
+  FitReport report;
+  const std::vector<std::uint64_t> degrees = in.u64_vec();
+  report.degrees.assign(degrees.begin(), degrees.end());
+  report.max_error = in.f64();
+  report.l2_error = in.f64();
+  report.feasibility_gap = in.f64();
+  report.clamped = read_bool(in) != 0;
+  report.target_met = read_bool(in) != 0;
+  report.term_errors = in.f64_vec();
+  report.max_coeff_delta = in.f64();
+  return report;
 }
 
 void write_certification(BinWriter& out, const Certification& cert) {
@@ -266,10 +196,8 @@ void write_certification(BinWriter& out, const Certification& cert) {
       .f64(cert.op.threshold_mw)
       .u64(cert.op.stream_length)
       .u32(cert.op.sng_width)
-      .u64(cert.stream_length)
       .u64(cert.repeats)
       .u64(cert.grid_points)
-      .u8(cert.noise_enabled ? 1 : 0)
       .f64(cert.mc_mae)
       .f64(cert.mc_mae_ci)
       .f64(cert.mc_worst)
@@ -285,10 +213,8 @@ Certification read_certification(BinReader& in) {
   cert.op.threshold_mw = in.f64();
   cert.op.stream_length = in.u64();
   cert.op.sng_width = in.u32();
-  cert.stream_length = in.u64();
   cert.repeats = in.u64();
   cert.grid_points = in.u64();
-  cert.noise_enabled = read_bool(in) != 0;
   cert.mc_mae = in.f64();
   cert.mc_mae_ci = in.f64();
   cert.mc_worst = in.f64();
@@ -307,72 +233,20 @@ Certification read_certification(BinReader& in) {
 }
 
 void write_compiled_program(BinWriter& out, const CompiledProgram& program) {
-  if (program.is_nd()) {
-    out.u8(static_cast<std::uint8_t>(ProgramForm::kSeparable));
-    write_program_key(out, program.key());
-    write_projection_nd(out, program.projection_nd());
-    out.u64(program.factor_quantizations().size());
-    for (const QuantizationResult& q : program.factor_quantizations()) {
-      write_quantization(out, q);
-    }
-    write_separable_program(out, program.program());
-  } else if (program.is_bivariate()) {
-    out.u8(static_cast<std::uint8_t>(ProgramForm::kBivariate));
-    write_program_key(out, program.key());
-    write_projection2(out, program.projection2());
-    write_quantization2(out, program.quantization2());
-  } else {
-    out.u8(static_cast<std::uint8_t>(ProgramForm::kUnivariate));
-    write_program_key(out, program.key());
-    write_projection(out, program.projection());
-    write_quantization(out, program.quantization());
-  }
+  write_program_key(out, program.key());
+  write_program(out, program.program());
+  write_fit_report(out, program.report());
   const std::optional<Certification>& cert = program.certification();
   out.u8(cert.has_value() ? 1 : 0);
   if (cert.has_value()) write_certification(out, *cert);
 }
 
 std::shared_ptr<const CompiledProgram> read_compiled_program(BinReader& in) {
-  const std::uint8_t form = in.u8();
   ProgramKey key = read_program_key(in);
-  std::shared_ptr<CompiledProgram> program;
-  switch (static_cast<ProgramForm>(form)) {
-    case ProgramForm::kUnivariate: {
-      ProjectionResult projection = read_projection(in);
-      QuantizationResult quantization = read_quantization(in);
-      program = std::make_shared<CompiledProgram>(
-          std::move(key), std::move(projection), std::move(quantization));
-      break;
-    }
-    case ProgramForm::kBivariate: {
-      ProjectionResult2 projection = read_projection2(in);
-      QuantizationResult2 quantization = read_quantization2(in);
-      program = std::make_shared<CompiledProgram>(
-          std::move(key), std::move(projection), std::move(quantization));
-      break;
-    }
-    case ProgramForm::kSeparable: {
-      ProjectionResultN projection = read_projection_nd(in);
-      const std::uint64_t quant_count = in.u64();
-      if (quant_count >= kMaxStructCount) {
-        throw BinIoError("serialize: factor quantization count out of range");
-      }
-      std::vector<QuantizationResult> factor_quant;
-      factor_quant.reserve(quant_count);
-      for (std::uint64_t i = 0; i < quant_count; ++i) {
-        factor_quant.push_back(read_quantization(in));
-      }
-      stochastic::SeparableProgram quantized =
-          read_separable_program(in, /*unit_box=*/true);
-      program = std::make_shared<CompiledProgram>(
-          std::move(key), std::move(projection), std::move(factor_quant),
-          std::move(quantized));
-      break;
-    }
-    default:
-      throw BinIoError("serialize: unknown program form tag " +
-                       std::to_string(form));
-  }
+  stochastic::SeparableProgram run = read_program(in, key.width);
+  FitReport report = read_fit_report(in);
+  auto program = std::make_shared<CompiledProgram>(
+      std::move(key), std::move(run), std::move(report));
   const std::uint8_t has_cert = read_bool(in);
   if (has_cert != 0) {
     program->attach_certification(read_certification(in));

@@ -2,11 +2,9 @@
 /// \file serialize.hpp
 /// \brief Versioned binary serialization of compiled programs - the
 ///        persistence layer behind ProgramCache::save/load and the server
-///        prewarm manifest. Per-struct write/read pairs (mirroring the
-///        per-layer fwrite/fread shape of compiled-artifact stores) cover
-///        ProgramKey, the projection/quantization outcomes of every
-///        program form (univariate, bivariate, N-ary separable) and the
-///        Certification record, all in the fixed-width little-endian
+///        prewarm manifest. One record payload serves every arity: the
+///        ProgramKey, the program the hardware runs, the FitReport and an
+///        optional Certification, all in the fixed-width little-endian
 ///        encoding of common/binio.hpp behind a magic + format-version
 ///        header.
 ///
@@ -19,7 +17,13 @@
 ///   record:  u64 key digest   (ProgramKey::digest() - portable identity)
 ///            u32 payload size (bytes that follow the checksum)
 ///            u64 payload FNV-1a checksum
-///            payload          (form tag + key + program + certification)
+///            payload          (key + program + fit report +
+///                              optional certification)
+///
+/// The program encoding leads with a one-byte layout: a dense program is
+/// its per-axis orders plus the row-major coefficient grid, whatever its
+/// arity; a sum-of-rank-1 program is its terms (weight, then each factor's
+/// axis and coefficients).
 ///
 /// The digest/checksum pair makes every record independently verifiable:
 /// a loader can skip a corrupt record by its declared size and keep
@@ -28,7 +32,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "common/binio.hpp"
 #include "compile/program.hpp"
@@ -40,58 +43,32 @@ inline constexpr char kCacheMagic[8] = {'O', 'S', 'C', 'S',
                                         'P', 'R', 'O', 'G'};
 /// Bump on any change to the record payload encoding. Version-mismatched
 /// files are rejected whole (a counted load error, never a crash).
-inline constexpr std::uint32_t kCacheFormatVersion = 1;
+inline constexpr std::uint32_t kCacheFormatVersion = 2;
 
-/// Program-form tag leading every record payload.
-enum class ProgramForm : std::uint8_t {
-  kUnivariate = 1,
-  kBivariate = 2,
-  kSeparable = 3,
-};
-
-// Per-struct pairs. Readers throw BinIoError on truncation or
-// structurally invalid data (coefficients outside [0,1], level/coefficient
-// count mismatches); callers catch per record.
+// Write/read pairs. Readers throw BinIoError on truncation or
+// structurally invalid data; callers catch per record.
 
 void write_program_key(BinWriter& out, const ProgramKey& key);
 [[nodiscard]] ProgramKey read_program_key(BinReader& in);
 
-void write_poly(BinWriter& out, const stochastic::BernsteinPoly& poly);
-/// \param unit_box require every coefficient in [0,1] (the SNG condition;
-///        on for every polynomial the hardware runs).
-[[nodiscard]] stochastic::BernsteinPoly read_poly(BinReader& in,
-                                                  bool unit_box);
+void write_program(BinWriter& out, const stochastic::SeparableProgram& program);
+/// The program encoding back. Every dense or factor coefficient must lie
+/// in [0,1] on the comparator grid of a `width`-bit SNG (a multiple of
+/// 2^-width), which is what quantization produces.
+/// \throws BinIoError on an unknown layout byte, a shape mismatch, a
+///         coefficient off the grid or outside [0,1], or a width outside
+///         [1, 62].
+[[nodiscard]] stochastic::SeparableProgram read_program(BinReader& in,
+                                                        unsigned width);
 
-void write_poly2(BinWriter& out, const stochastic::BernsteinPoly2& poly);
-[[nodiscard]] stochastic::BernsteinPoly2 read_poly2(BinReader& in,
-                                                    bool unit_box);
-
-void write_separable_program(BinWriter& out,
-                             const stochastic::SeparableProgram& program);
-[[nodiscard]] stochastic::SeparableProgram read_separable_program(
-    BinReader& in, bool unit_box);
-
-void write_projection(BinWriter& out, const ProjectionResult& projection);
-[[nodiscard]] ProjectionResult read_projection(BinReader& in);
-
-void write_projection2(BinWriter& out, const ProjectionResult2& projection);
-[[nodiscard]] ProjectionResult2 read_projection2(BinReader& in);
-
-void write_projection_nd(BinWriter& out, const ProjectionResultN& projection);
-[[nodiscard]] ProjectionResultN read_projection_nd(BinReader& in);
-
-void write_quantization(BinWriter& out, const QuantizationResult& quantization);
-[[nodiscard]] QuantizationResult read_quantization(BinReader& in);
-
-void write_quantization2(BinWriter& out,
-                         const QuantizationResult2& quantization);
-[[nodiscard]] QuantizationResult2 read_quantization2(BinReader& in);
+void write_fit_report(BinWriter& out, const FitReport& report);
+[[nodiscard]] FitReport read_fit_report(BinReader& in);
 
 void write_certification(BinWriter& out, const Certification& cert);
 [[nodiscard]] Certification read_certification(BinReader& in);
 
-/// One whole record payload: form tag, key, per-form projection +
-/// quantization structs, optional certification.
+/// One whole record payload: key, run program, fit report, optional
+/// certification.
 void write_compiled_program(BinWriter& out, const CompiledProgram& program);
 
 /// Rebuild a program from one record payload. The CompiledProgram
@@ -99,7 +76,7 @@ void write_compiled_program(BinWriter& out, const CompiledProgram& program);
 /// point deterministically from the stored coefficients, so a loaded
 /// program is bit-identical in execution to the one that was saved.
 /// \throws BinIoError on truncated/invalid payloads; std::invalid_argument
-///         out of the CompiledProgram constructors on inconsistent data.
+///         out of the CompiledProgram constructor on inconsistent data.
 [[nodiscard]] std::shared_ptr<const CompiledProgram> read_compiled_program(
     BinReader& in);
 

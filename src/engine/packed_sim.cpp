@@ -107,11 +107,8 @@ std::size_t apply_noise_flips(sc::Bitstream& stream, double flip_p,
 }
 
 std::vector<std::size_t> dense_orders(const sc::SeparableProgram& program) {
-  if (program.has_dense1()) return {program.dense1().degree()};
-  if (program.has_dense2()) {
-    return {program.dense2().deg_x(), program.dense2().deg_y()};
-  }
-  return {};
+  if (!program.has_dense1() && !program.has_dense2()) return {};
+  return program.orders();
 }
 
 PackedKernel::PackedKernel(const optsc::OpticalScCircuit& circuit,

@@ -262,38 +262,6 @@ const ProgramServer::OrderEngine& ProgramServer::order_engine(
 
 namespace {
 
-/// Per-axis kernel orders `program` runs at: the dense degrees, or the
-/// common factor degree of a sum-of-rank-1 program (one-axis kernel).
-std::vector<std::size_t> kernel_orders(
-    const stochastic::SeparableProgram& program) {
-  std::vector<std::size_t> orders = engine::dense_orders(program);
-  if (orders.empty()) orders = {program.factor_degree()};
-  return orders;
-}
-
-/// `program` degree-elevated (value-preserving) to the per-axis `orders`
-/// one kernel pass runs at.
-stochastic::SeparableProgram elevated_to(
-    stochastic::SeparableProgram program,
-    const std::vector<std::size_t>& orders) {
-  if (program.has_dense1()) {
-    const stochastic::BernsteinPoly& poly = program.dense1();
-    if (poly.degree() == orders[0]) return program;
-    return stochastic::SeparableProgram(
-        poly.elevated(orders[0] - poly.degree()));
-  }
-  if (program.has_dense2()) {
-    const stochastic::BernsteinPoly2& poly = program.dense2();
-    if (poly.deg_x() == orders[0] && poly.deg_y() == orders[1]) {
-      return program;
-    }
-    return stochastic::SeparableProgram(poly.elevated(
-        orders[0] - poly.deg_x(), orders[1] - poly.deg_y()));
-  }
-  if (program.factor_degree() == orders[0]) return program;
-  return program.elevated_to(orders[0]);
-}
-
 void check_unit_coefficients(const std::vector<double>& coefficients) {
   for (double c : coefficients) {
     if (!(c >= 0.0 && c <= 1.0)) {
@@ -317,8 +285,8 @@ void require_arity(const std::string& program, std::size_t program_arity,
 }
 
 /// A raw-coefficient program spec - a flat vector takes one input, a
-/// nested grid two - as a dense program, lifted to the
-/// one-data-channel-per-input circuit minimum.
+/// nested grid two - as a dense program (resolve elevates it to the
+/// circuit minimum with the rest of the request).
 stochastic::SeparableProgram raw_program(const ProgramSpec& spec,
                                          std::size_t arity) {
   if (spec.coefficients.empty() && spec.coefficients2.empty()) {
@@ -330,37 +298,31 @@ stochastic::SeparableProgram raw_program(const ProgramSpec& spec,
   }
   require_arity("program '" + spec.display_id() + "'",
                 spec.is_raw_bivariate() ? 2 : 1, arity);
-  const std::string too_deep =
-      "coefficient degree exceeds the kernel order limit (" +
-      std::to_string(engine::PackedKernel::kMaxOrder) + ")";
+  std::optional<stochastic::SeparableProgram> program;
   if (spec.is_raw_bivariate()) {
     for (const std::vector<double>& row : spec.coefficients2) {
       check_unit_coefficients(row);
     }
     // Typed-path callers can hand over a ragged or empty-row grid; keep
     // it a client error instead of a 500 out of BernsteinPoly2.
-    std::optional<stochastic::BernsteinPoly2> parsed;
     try {
-      parsed.emplace(spec.coefficients2);
+      program.emplace(stochastic::BernsteinPoly2(spec.coefficients2));
     } catch (const std::invalid_argument& e) {
       throw ServeError(400, "bad_request", e.what());
     }
-    stochastic::BernsteinPoly2 poly =
-        parsed->elevated(parsed->deg_x() == 0 ? 1 : 0,
-                         parsed->deg_y() == 0 ? 1 : 0);
-    if (poly.deg_x() > engine::PackedKernel::kMaxOrder ||
-        poly.deg_y() > engine::PackedKernel::kMaxOrder) {
-      throw ServeError(400, "bad_request", too_deep);
+  } else {
+    check_unit_coefficients(spec.coefficients);
+    program.emplace(stochastic::BernsteinPoly(spec.coefficients));
+  }
+  for (std::size_t order : program->orders()) {
+    if (order > engine::PackedKernel::kMaxOrder) {
+      throw ServeError(400, "bad_request",
+                       "coefficient degree exceeds the kernel order limit (" +
+                           std::to_string(engine::PackedKernel::kMaxOrder) +
+                           ")");
     }
-    return stochastic::SeparableProgram(std::move(poly));
   }
-  check_unit_coefficients(spec.coefficients);
-  stochastic::BernsteinPoly poly(spec.coefficients);
-  if (poly.degree() == 0) poly = poly.elevated();  // circuit minimum
-  if (poly.degree() > engine::PackedKernel::kMaxOrder) {
-    throw ServeError(400, "bad_request", too_deep);
-  }
-  return stochastic::SeparableProgram(std::move(poly));
+  return std::move(*program);
 }
 
 }  // namespace
@@ -423,14 +385,16 @@ ProgramServer::Resolved ProgramServer::resolve(const ServeRequest& request) {
   // minimum is order 1 on every axis.
   std::vector<std::size_t> target(arity == 2 ? 2 : 1, 1);
   for (const stochastic::SeparableProgram& program : programs) {
-    const std::vector<std::size_t> orders = kernel_orders(program);
+    const std::vector<std::size_t> orders = program.orders();
     for (std::size_t a = 0; a < target.size(); ++a) {
       target[a] = std::max(target[a], orders[a]);
     }
   }
   resolved.programs.reserve(programs.size());
   for (stochastic::SeparableProgram& program : programs) {
-    resolved.programs.push_back(elevated_to(std::move(program), target));
+    resolved.programs.push_back(program.orders() == target
+                                    ? std::move(program)
+                                    : program.elevated_to(target));
   }
 
   for (const auto& program : resolved.holds) {

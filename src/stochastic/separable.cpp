@@ -116,8 +116,35 @@ bool SeparableProgram::is_sc_compatible(double tolerance) const noexcept {
   return true;
 }
 
-SeparableProgram SeparableProgram::elevated_to(std::size_t degree) const {
-  if (dense1_ || dense2_) return *this;
+std::vector<std::size_t> SeparableProgram::orders() const {
+  if (dense1_) return {dense1_->degree()};
+  if (dense2_) return {dense2_->deg_x(), dense2_->deg_y()};
+  return {factor_degree()};
+}
+
+SeparableProgram SeparableProgram::elevated_to(
+    const std::vector<std::size_t>& orders) const {
+  const std::vector<std::size_t> current = this->orders();
+  if (orders.size() != current.size()) {
+    throw std::invalid_argument(
+        "SeparableProgram: elevation target has " +
+        std::to_string(orders.size()) + " axes, the program runs on " +
+        std::to_string(current.size()));
+  }
+  for (std::size_t a = 0; a < orders.size(); ++a) {
+    if (orders[a] < current[a]) {
+      throw std::invalid_argument(
+          "SeparableProgram: degree " + std::to_string(current[a]) +
+          " exceeds the elevation target " + std::to_string(orders[a]));
+    }
+  }
+  if (dense1_) {
+    return SeparableProgram(dense1_->elevated(orders[0] - current[0]));
+  }
+  if (dense2_) {
+    return SeparableProgram(dense2_->elevated(orders[0] - current[0],
+                                              orders[1] - current[1]));
+  }
   std::vector<SeparableTerm> elevated;
   elevated.reserve(terms_.size());
   for (const SeparableTerm& term : terms_) {
@@ -125,14 +152,8 @@ SeparableProgram SeparableProgram::elevated_to(std::size_t degree) const {
     out.weight = term.weight;
     out.factors.reserve(term.factors.size());
     for (const SeparableFactor& factor : term.factors) {
-      if (factor.poly.degree() > degree) {
-        throw std::invalid_argument(
-            "SeparableProgram: factor degree " +
-            std::to_string(factor.poly.degree()) +
-            " exceeds the elevation target " + std::to_string(degree));
-      }
       out.factors.push_back(
-          {factor.axis, factor.poly.elevated(degree - factor.poly.degree())});
+          {factor.axis, factor.poly.elevated(orders[0] - factor.poly.degree())});
     }
     elevated.push_back(std::move(out));
   }

@@ -98,12 +98,19 @@ class SeparableProgram {
   /// polynomial's check.
   [[nodiscard]] bool is_sc_compatible(double tolerance = 0.0) const noexcept;
 
-  /// Copy with every factor degree-elevated to the common `degree` (the
-  /// kernel order all factors must share). Value-preserving. Dense forms
-  /// are returned unchanged (their kernels are built at their own
-  /// orders).
-  /// \throws std::invalid_argument if any factor degree exceeds `degree`.
-  [[nodiscard]] SeparableProgram elevated_to(std::size_t degree) const;
+  /// Per-axis orders a kernel runs this program at: {degree} for the
+  /// dense univariate form, {deg_x, deg_y} for the tensor-product form,
+  /// and {factor_degree()} for a sum-of-rank-1 program (every factor runs
+  /// through one one-axis kernel).
+  [[nodiscard]] std::vector<std::size_t> orders() const;
+
+  /// Copy degree-elevated (value-preserving) to the per-axis `orders`, in
+  /// the layout orders() reports: each dense axis is raised to its order,
+  /// and every factor of a sum-of-rank-1 program to orders[0].
+  /// \throws std::invalid_argument if `orders` has the wrong axis count or
+  ///         lies below an existing degree on any axis.
+  [[nodiscard]] SeparableProgram elevated_to(
+      const std::vector<std::size_t>& orders) const;
 
  private:
   std::size_t arity_ = 1;

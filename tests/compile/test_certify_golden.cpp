@@ -66,10 +66,10 @@ std::string render(const Certification& cert) {
   out.append(hex(cert.op.threshold_mw)).append(" ");
   out.append(std::to_string(cert.op.stream_length)).append(" ");
   out.append(std::to_string(cert.op.sng_width)).append(" | ");
-  out.append(std::to_string(cert.stream_length)).append(" ");
+  out.append(std::to_string(cert.op.stream_length)).append(" ");
   out.append(std::to_string(cert.repeats)).append(" ");
   out.append(std::to_string(cert.grid_points)).append(" ");
-  out.append(cert.noise_enabled ? "noisy" : "clean").append(" | ");
+  out.append(cert.op.noisy() ? "noisy" : "clean").append(" | ");
   out.append(hex(cert.mc_mae)).append(" ");
   out.append(hex(cert.mc_mae_ci)).append(" ");
   out.append(hex(cert.mc_worst)).append(" ");

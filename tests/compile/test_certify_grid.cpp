@@ -48,8 +48,8 @@ TEST(CertifyAt, ExplicitOperatingPointDrivesTheRun) {
   };
   const Certification noisy = certify_at(*program, reference, op, options);
   EXPECT_EQ(noisy.op, op);
-  EXPECT_EQ(noisy.stream_length, 2048u);
-  EXPECT_TRUE(noisy.noise_enabled);
+  EXPECT_EQ(noisy.op.stream_length, 2048u);
+  EXPECT_TRUE(noisy.op.noisy());
 
   const Certification clean =
       certify_at(*program, reference, op.noiseless(), options);

@@ -50,13 +50,12 @@ TEST(CompilerCertification, AllRegistryFunctionsMeetAccuracyBudget) {
     EXPECT_LE(program->circuit_order(), 6u) << fn.id;
     ASSERT_TRUE(program->certification().has_value()) << fn.id;
     const Certification& cert = *program->certification();
-    EXPECT_EQ(cert.stream_length, 4096u) << fn.id;
     // The certificate records the operating point the link budget derived.
     EXPECT_EQ(cert.op.stream_length, 4096u) << fn.id;
     EXPECT_DOUBLE_EQ(cert.op.probe_power_mw,
                      program->design_point().probe_power_mw)
         << fn.id;
-    EXPECT_EQ(cert.noise_enabled, cert.op.noisy()) << fn.id;
+    EXPECT_TRUE(cert.op.noisy()) << fn.id;
     EXPECT_GT(cert.mc_mae_ci, 0.0) << fn.id;
     EXPECT_LE(cert.mc_mae, 0.02)
         << fn.id << " (mae " << cert.mc_mae << " +/- " << cert.mc_mae_ci
@@ -143,8 +142,10 @@ TEST(CompiledProgramTest, PipelineReportsArePlumbedThrough) {
   const auto program = compiler.compile("gamma");
   EXPECT_EQ(program->function_id(), "gamma");
   EXPECT_EQ(program->key().width, 16u);
-  EXPECT_GE(program->projection().degree, 1u);
-  EXPECT_EQ(program->quantization().width, 16u);
+  ASSERT_EQ(program->report().degrees.size(), 1u);
+  EXPECT_GE(program->report().degrees[0], 1u);
+  EXPECT_TRUE(program->report().term_errors.empty());
+  EXPECT_LE(program->report().max_coeff_delta, std::ldexp(1.0, -17));
   EXPECT_TRUE(program->poly().is_sc_compatible());
   // Quantized coefficients sit exactly on the SNG comparator grid.
   const double scale = std::ldexp(1.0, 16);
@@ -174,7 +175,7 @@ TEST(CompiledProgramTest, Degree0ProgramMatchesReSCUnitBitForBit) {
   const auto program =
       compile_function("const_0p4", [](double) { return 0.4; }, options);
   EXPECT_TRUE(program->elevated());
-  EXPECT_EQ(program->projection().degree, 0u);
+  EXPECT_EQ(program->report().degrees, std::vector<std::size_t>{0});
   ASSERT_EQ(program->circuit_order(), 1u);
 
   const sc::ReSCUnit unit(program->poly());
@@ -222,17 +223,15 @@ TEST(CompiledProgramTest, Degree1ProgramMatchesReSCUnitBitForBit) {
 TEST(CertifyTest, DeterministicAcrossThreadCounts) {
   CompileOptions options;
   options.certify = false;
-  const auto program = compile_function(
-      "affine2", [](double x) { return 0.1 + 0.5 * x; }, options);
+  const auto f = [](double x) { return 0.1 + 0.5 * x; };
+  const auto program = compile_function("affine2", f, options);
   CertificationOptions cert_options;
   cert_options.stream_length = 512;
   cert_options.repeats = 4;
   cert_options.threads = 1;
-  const Certification a = certify(*program, program->projection().poly,
-                                  cert_options);
+  const Certification a = certify(*program, f, cert_options);
   cert_options.threads = 4;
-  const Certification b = certify(*program, program->projection().poly,
-                                  cert_options);
+  const Certification b = certify(*program, f, cert_options);
   EXPECT_DOUBLE_EQ(a.mc_mae, b.mc_mae);
   EXPECT_DOUBLE_EQ(a.mc_mae_ci, b.mc_mae_ci);
   EXPECT_DOUBLE_EQ(a.mc_worst, b.mc_worst);

@@ -42,7 +42,7 @@ TEST(BivariateCompilerTest, MulCertifiesOnNineByNineGrid) {
   ASSERT_TRUE(program->certification().has_value());
   const Certification& cert = *program->certification();
   EXPECT_EQ(cert.grid_points, 9u);
-  EXPECT_EQ(cert.stream_length, 4096u);
+  EXPECT_EQ(cert.op.stream_length, 4096u);
   EXPECT_LE(cert.mc_mae + cert.mc_mae_ci, 0.02);
   EXPECT_LT(cert.approx_max_error, 1e-4);  // bilinear: exact up to quantization
 }
@@ -122,6 +122,7 @@ TEST(BivariateCompilerTest, DegreeZeroAxesElevateToCircuitMinimum) {
   const auto program = compile_function2(
       "constant2", [](double, double) { return 0.4; }, options);
   EXPECT_TRUE(program->elevated());
+  EXPECT_EQ(program->report().degrees, (std::vector<std::size_t>{0, 0}));
   EXPECT_EQ(program->circuit_order(), 1u);
   EXPECT_EQ(program->circuit_order_y(), 1u);
   EXPECT_NEAR(program->poly2()(0.3, 0.8), 0.4, 1e-4);
@@ -143,8 +144,8 @@ TEST(BivariateCompilerTest, BivariateAccessorsThrowOnUnivariatePrograms) {
   Compiler compiler(fast_options());
   const auto uni = compiler.compile("square", [](double x) { return x * x; });
   EXPECT_THROW((void)uni->poly2(), std::exception);
-  EXPECT_THROW((void)uni->projection2(), std::exception);
-  EXPECT_THROW((void)uni->quantization2(), std::exception);
+  EXPECT_THROW((void)uni->program_nd(), std::exception);
+  EXPECT_EQ(uni->report().degrees.size(), 1u);
 }
 
 TEST(BivariateCompilerTest, UnivariateAccessorsThrowOnBivariatePrograms) {
@@ -152,10 +153,9 @@ TEST(BivariateCompilerTest, UnivariateAccessorsThrowOnBivariatePrograms) {
   const auto biv = compiler.compile2(
       "mul2", [](double x, double y) { return x * y; });
   EXPECT_THROW((void)biv->poly(), std::exception);
-  EXPECT_THROW((void)biv->projection(), std::exception);
-  EXPECT_THROW((void)biv->quantization(), std::exception);
   EXPECT_THROW((void)biv->program_nd(), std::exception);
-  EXPECT_THROW((void)biv->projection_nd(), std::exception);
+  EXPECT_EQ(biv->report().degrees.size(), 2u);
+  EXPECT_TRUE(biv->report().term_errors.empty());
   EXPECT_EQ(&biv->poly2(), &biv->program().dense2());
 }
 

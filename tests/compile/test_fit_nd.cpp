@@ -193,7 +193,10 @@ TEST(SeparableCompilerTest, CompileNdProducesARunnableProgram) {
   ASSERT_NE(program->kernel(), nullptr);
   // Quantization keeps every factor on the SNG grid inside [0,1].
   EXPECT_TRUE(program->program_nd().is_sc_compatible(1e-12));
-  EXPECT_FALSE(program->factor_quantizations().empty());
+  EXPECT_FALSE(program->report().term_errors.empty());
+  EXPECT_EQ(program->report().degrees,
+            std::vector<std::size_t>(3, program->circuit_order()));
+  EXPECT_FALSE(program->elevated());
   // The quantized program still tracks the reference arithmetic.
   const RegistryFunctionN* fn = find_function_nd("trilinear_mix");
   ASSERT_NE(fn, nullptr);
@@ -205,9 +208,7 @@ TEST(SeparableCompilerTest, DenseAccessorsThrowAndRunTakesThePoint) {
   Compiler compiler(fast_options());
   const auto program = compiler.compile_nd("trilinear_mix");
   EXPECT_THROW((void)program->poly(), std::exception);
-  EXPECT_THROW((void)program->projection(), std::exception);
   EXPECT_THROW((void)program->poly2(), std::exception);
-  EXPECT_THROW((void)program->projection2(), std::exception);
   EXPECT_EQ(&program->program_nd(), &program->program());
   EXPECT_EQ(program->circuit_order_y(), 0u);
 
@@ -254,8 +255,8 @@ TEST(SeparableCompilerAcceptance, RegistryCertifiesUnderBudgetAt4096Bits) {
     const auto program = compiler.compile_nd(fn.id);
     ASSERT_NE(program, nullptr) << fn.id;
     const Certification result = certify_nd(*program, fn.f, cert);
-    EXPECT_TRUE(result.noise_enabled) << fn.id;
-    EXPECT_EQ(result.stream_length, 4096u) << fn.id;
+    EXPECT_TRUE(result.op.noisy()) << fn.id;
+    EXPECT_EQ(result.op.stream_length, 4096u) << fn.id;
     EXPECT_LE(result.mc_mae, 0.03)
         << fn.id << " certified mc_mae " << result.mc_mae;
   }

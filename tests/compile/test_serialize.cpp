@@ -1,5 +1,5 @@
-/// Serialization tests: per-struct write/read round trips for every
-/// program form, the pinned portable cache-identity digests (the
+/// Serialization tests: write/read round trips for the key, the program
+/// codec (every form), the fit report and the certificate, the pinned portable cache-identity digests (the
 /// regression fence against std::hash-style drift between builds and
 /// platforms), and the corruption contract - truncated, bit-flipped,
 /// bad-magic, version-mismatched and out-of-range cache files must all
@@ -124,10 +124,8 @@ TEST(SerializeStructs, CertificationRoundTrip) {
   cert.op.threshold_mw = 0.7;
   cert.op.stream_length = 4096;
   cert.op.sng_width = 16;
-  cert.stream_length = 4096;
   cert.repeats = 16;
   cert.grid_points = 9;
-  cert.noise_enabled = true;
   cert.mc_mae = 0.0021;
   cert.mc_mae_ci = 0.0004;
   cert.mc_worst = 0.0065;
@@ -139,44 +137,75 @@ TEST(SerializeStructs, CertificationRoundTrip) {
   BinReader in(out.data());
   const Certification back = read_certification(in);
   EXPECT_EQ(back.op, cert.op);
-  EXPECT_EQ(back.stream_length, cert.stream_length);
   EXPECT_EQ(back.repeats, cert.repeats);
   EXPECT_EQ(back.grid_points, cert.grid_points);
-  EXPECT_EQ(back.noise_enabled, cert.noise_enabled);
   EXPECT_EQ(back.mc_mae, cert.mc_mae);
   EXPECT_EQ(back.mc_mae_ci, cert.mc_mae_ci);
   EXPECT_EQ(back.mc_worst, cert.mc_worst);
   EXPECT_EQ(back.electronic_mae, cert.electronic_mae);
   EXPECT_EQ(back.approx_max_error, cert.approx_max_error);
+  EXPECT_TRUE(in.exhausted());
 }
 
-TEST(SerializeStructs, QuantizationRejectsLevelCountMismatch) {
-  const auto program = sample_univariate(fast_options());
-  BinWriter out;
-  write_quantization(out, program->quantization());
-  // Corrupt the level count: the poly vector count sits first, the level
-  // vector count right after the coefficient payload.
-  std::string bytes = out.data();
-  BinReader probe(bytes);
-  const std::size_t coeffs = probe.u64();
-  const std::size_t levels_count_offset = 8 + coeffs * 8;
-  bytes[levels_count_offset] = static_cast<char>(bytes[levels_count_offset] + 1);
-  BinReader in(bytes);
-  EXPECT_THROW((void)read_quantization(in), BinIoError);
-}
+/// Byte offset of the first coefficient in a dense one-axis program
+/// encoding: layout byte, axis count, the order, the coefficient count.
+constexpr std::size_t kFirstDenseCoefficient = 1 + 8 + 8 + 8;
 
 TEST(SerializeStructs, CoefficientOutsideUnitBoxRejected) {
   const auto program = sample_univariate(fast_options());
   BinWriter out;
-  write_quantization(out, program->quantization());
+  write_program(out, program->program());
   // Overwrite the first coefficient with 2.0 - structurally valid bytes,
   // semantically outside the stochastic box.
   std::string bytes = out.data();
   BinWriter patch;
   patch.f64(2.0);
-  for (std::size_t i = 0; i < 8; ++i) bytes[8 + i] = patch.data()[i];
+  for (std::size_t i = 0; i < 8; ++i) {
+    bytes[kFirstDenseCoefficient + i] = patch.data()[i];
+  }
   BinReader in(bytes);
-  EXPECT_THROW((void)read_quantization(in), BinIoError);
+  EXPECT_THROW((void)read_program(in, program->key().width), BinIoError);
+}
+
+TEST(SerializeProgram, UnknownFormTagRejected) {
+  const auto program = sample_univariate(fast_options());
+  BinWriter out;
+  write_program(out, program->program());
+  std::string bytes = out.data();
+  bytes[0] = 9;  // no such layout
+  BinReader in(bytes);
+  EXPECT_THROW((void)read_program(in, program->key().width), BinIoError);
+}
+
+TEST(SerializeStructs, ProgramCodecRoundTripsEveryForm) {
+  for (const auto& program :
+       {sample_univariate(fast_options()), sample_bivariate(fast_options()),
+        sample_nd(fast_options())}) {
+    BinWriter out;
+    write_program(out, program->program());
+    BinReader in(out.data());
+    const stochastic::SeparableProgram back =
+        read_program(in, program->key().width);
+    EXPECT_TRUE(in.exhausted());
+    EXPECT_EQ(back.arity(), program->arity());
+    EXPECT_EQ(back.orders(), program->program().orders());
+    EXPECT_EQ(back.has_dense1(), program->program().has_dense1());
+    EXPECT_EQ(back.has_dense2(), program->program().has_dense2());
+    const std::vector<double> point(program->arity(), 0.37);
+    EXPECT_EQ(back(point), program->program()(point));
+  }
+}
+
+/// Every FitReport field survives the round trip bit for bit.
+void expect_same_report(const FitReport& back, const FitReport& report) {
+  EXPECT_EQ(back.degrees, report.degrees);
+  EXPECT_EQ(back.max_error, report.max_error);
+  EXPECT_EQ(back.l2_error, report.l2_error);
+  EXPECT_EQ(back.feasibility_gap, report.feasibility_gap);
+  EXPECT_EQ(back.clamped, report.clamped);
+  EXPECT_EQ(back.target_met, report.target_met);
+  EXPECT_EQ(back.term_errors, report.term_errors);
+  EXPECT_EQ(back.max_coeff_delta, report.max_coeff_delta);
 }
 
 TEST(SerializeProgram, UnivariateRoundTripPreservesEverything) {
@@ -186,10 +215,8 @@ TEST(SerializeProgram, UnivariateRoundTripPreservesEverything) {
   EXPECT_FALSE(back->is_bivariate());
   EXPECT_FALSE(back->is_nd());
   EXPECT_EQ(back->poly().coeffs(), program->poly().coeffs());
-  EXPECT_EQ(back->quantization().levels, program->quantization().levels);
-  EXPECT_EQ(back->projection().poly.coeffs(),
-            program->projection().poly.coeffs());
-  EXPECT_EQ(back->projection().max_error, program->projection().max_error);
+  expect_same_report(back->report(), program->report());
+  EXPECT_EQ(back->elevated(), program->elevated());
   ASSERT_TRUE(back->certification().has_value());
   EXPECT_EQ(back->certification()->mc_mae, program->certification()->mc_mae);
   EXPECT_EQ(back->certification()->op, program->certification()->op);
@@ -207,7 +234,7 @@ TEST(SerializeProgram, BivariateRoundTripPreservesEverything) {
   EXPECT_EQ(back->poly2().coeffs(), program->poly2().coeffs());
   EXPECT_EQ(back->poly2().deg_x(), program->poly2().deg_x());
   EXPECT_EQ(back->poly2().deg_y(), program->poly2().deg_y());
-  EXPECT_EQ(back->quantization2().levels, program->quantization2().levels);
+  expect_same_report(back->report(), program->report());
   ASSERT_TRUE(back->certification().has_value());
   EXPECT_EQ(back->certification()->mc_mae, program->certification()->mc_mae);
   EXPECT_EQ(back->circuit_order(), program->circuit_order());
@@ -232,24 +259,24 @@ TEST(SerializeProgram, SeparableRoundTripPreservesEverything) {
                 terms[t].factors[j].poly.coeffs());
     }
   }
-  ASSERT_EQ(back->factor_quantizations().size(),
-            program->factor_quantizations().size());
-  for (std::size_t i = 0; i < program->factor_quantizations().size(); ++i) {
-    EXPECT_EQ(back->factor_quantizations()[i].levels,
-              program->factor_quantizations()[i].levels);
-  }
+  expect_same_report(back->report(), program->report());
+  EXPECT_FALSE(back->report().term_errors.empty());
   ASSERT_TRUE(back->certification().has_value());
   EXPECT_EQ(back->certification()->mc_mae, program->certification()->mc_mae);
 }
 
-TEST(SerializeProgram, UnknownFormTagRejected) {
-  const auto program = sample_univariate(fast_options());
-  BinWriter out;
-  write_compiled_program(out, *program);
-  std::string bytes = out.data();
-  bytes[0] = 9;  // no such form
-  BinReader in(bytes);
-  EXPECT_THROW((void)read_compiled_program(in), BinIoError);
+TEST(SerializeProgram, DegreeZeroFitRoundTripsElevated) {
+  CompileOptions options = fast_options();
+  options.projection.min_degree = 0;
+  options.projection.max_degree = 0;
+  const auto program =
+      compile_function("const_0p4", [](double) { return 0.4; }, options);
+  ASSERT_TRUE(program->elevated());
+  const auto back = round_trip(*program);
+  EXPECT_TRUE(back->elevated());
+  EXPECT_EQ(back->report().degrees, std::vector<std::size_t>{0});
+  EXPECT_EQ(back->poly().coeffs(), program->poly().coeffs());
+  EXPECT_EQ(back->circuit_order(), 1u);
 }
 
 // --- Whole cache-file corruption contract ------------------------------
@@ -362,6 +389,61 @@ TEST(CacheFile, CorruptRecordSkippedRestLoads) {
   EXPECT_EQ(report.loaded, 1u);
   EXPECT_EQ(report.errors, 1u);
   EXPECT_EQ(cache.size(), 1u);
+}
+
+/// A one-record cache file around `payload`, framed exactly as
+/// ProgramCache::save frames it (valid digest and checksum).
+std::string one_record_file(const ProgramKey& key, const BinWriter& payload) {
+  BinWriter file;
+  file.bytes(kCacheMagic, sizeof(kCacheMagic));
+  file.u32(kCacheFormatVersion).u32(0).u64(1);
+  file.u64(key.digest());
+  file.u32(static_cast<std::uint32_t>(payload.size()));
+  file.u64(fnv1a(payload.data().data(), payload.size()));
+  file.bytes(payload.data().data(), payload.size());
+  return file.data();
+}
+
+TEST(CacheFile, OffGridCoefficientIsCountedLoadErrorThenColdCompiles) {
+  // A record whose checksum is valid but whose first coefficient sits
+  // between two 16-bit comparator levels: no quantizer produced it, so
+  // the loader must reject it as a counted error, and the program then
+  // compiles cold.
+  Compiler compiler(fast_options());
+  const auto program = sample_univariate(fast_options());
+  std::vector<double> coeffs = program->poly().coeffs();
+  coeffs[0] = coeffs[0] > 0.5 ? coeffs[0] - std::ldexp(1.0, -20)
+                              : coeffs[0] + std::ldexp(1.0, -20);
+  BinWriter payload;
+  write_program_key(payload, program->key());
+  write_program(payload,
+                stochastic::SeparableProgram(stochastic::BernsteinPoly(coeffs)));
+  write_fit_report(payload, program->report());
+  payload.u8(0);  // no certificate
+
+  std::istringstream in(one_record_file(program->key(), payload));
+  const CacheLoadReport report = compiler.cache().load(in);
+  EXPECT_TRUE(report.opened);
+  EXPECT_EQ(report.loaded, 0u);
+  EXPECT_EQ(report.errors, 1u);
+  EXPECT_NE(report.message.find("comparator grid"), std::string::npos)
+      << report.message;
+  EXPECT_FALSE(compiler.cache().contains(program->key()));
+
+  const auto cold = compiler.compile(
+      "sigmoid", [](double x) { return 1.0 / (1.0 + std::exp(-4.0 * x)); });
+  EXPECT_EQ(cold->key(), program->key());
+  EXPECT_EQ(cold->poly().coeffs(), program->poly().coeffs());
+  EXPECT_EQ(compiler.cache().stats().misses, 1u);
+
+  // The same frame around the untouched program loads.
+  BinWriter pristine;
+  write_compiled_program(pristine, *program);
+  ProgramCache cache(4);
+  std::istringstream ok(one_record_file(program->key(), pristine));
+  const CacheLoadReport loaded = cache.load(ok);
+  EXPECT_EQ(loaded.loaded, 1u);
+  EXPECT_EQ(loaded.errors, 0u);
 }
 
 TEST(CacheFile, MissingFileIsNonFatal) {

@@ -146,6 +146,40 @@ TEST(PrewarmTest, CorruptCacheFileDoesNotFailStartup) {
   std::remove(path.c_str());
 }
 
+TEST(PrewarmTest, FormatVersionOneFileColdCompiles) {
+  // A file written in the retired per-arity payload format (version 1)
+  // is one counted load error; the server starts and compiles cold.
+  const std::string path = temp_cache_path("version1");
+  {
+    ProgramServer server(fast_options());
+    const JsonValue doc = json_parse(server.handle_json(
+        R"({"function": "sigmoid", "xs": [0.5], "stream_lengths": [256],
+            "repeats": 2})"));
+    ASSERT_TRUE(doc.find("ok")->as_bool());
+    ASSERT_EQ(server.save_cache(path), 1u);
+  }
+  {
+    std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+    file.seekp(8);  // the u32 format version follows the magic
+    file.put(1);
+  }
+
+  ServerOptions options = fast_options();
+  options.prewarm.cache_file = path;
+  ProgramServer server(options);  // must not throw
+  ServerMetrics metrics = server.metrics();
+  EXPECT_EQ(metrics.cache_loaded, 0u);
+  EXPECT_EQ(metrics.cache_load_errors, 1u);
+
+  const JsonValue doc = json_parse(server.handle_json(
+      R"({"function": "sigmoid", "xs": [0.5], "stream_lengths": [256],
+          "repeats": 2})"));
+  EXPECT_TRUE(doc.find("ok")->as_bool());
+  metrics = server.metrics();
+  EXPECT_EQ(metrics.cache.misses, 1u);  // one cold compile
+  std::remove(path.c_str());
+}
+
 TEST(PrewarmTest, MissingCacheFileDoesNotFailStartup) {
   ServerOptions options = fast_options();
   options.prewarm.cache_file = temp_cache_path("never_written_gone");

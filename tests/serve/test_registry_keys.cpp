@@ -13,7 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <optional>
@@ -131,57 +130,9 @@ TEST(RegistryKeyDigest, ServingKeysWithDegreeOverride) {
   }
 }
 
-/// The fit figures a record restores, in the order the content digest
-/// reads them.
-struct FitFigures {
-  std::vector<std::size_t> degrees;  ///< per-axis fit degrees
-  double max_error = 0.0;
-  double l2_error = 0.0;
-  double feasibility_gap = 0.0;
-  bool clamped = false;
-  bool target_met = false;
-  std::vector<double> term_errors;
-  double max_coeff_delta = 0.0;  ///< largest quantization snap
-};
-
-FitFigures fit_figures(const compile::CompiledProgram& program) {
-  FitFigures fit;
-  if (program.is_nd()) {
-    const compile::ProjectionResultN& projection = program.projection_nd();
-    fit.degrees.assign(projection.arity, projection.program.factor_degree());
-    fit.max_error = projection.max_error;
-    fit.l2_error = projection.l2_error;
-    fit.target_met = projection.target_met;
-    fit.term_errors = projection.term_errors;
-    for (const compile::QuantizationResult& q :
-         program.factor_quantizations()) {
-      fit.max_coeff_delta = std::max(fit.max_coeff_delta, q.max_coeff_delta);
-    }
-  } else if (program.is_bivariate()) {
-    const compile::ProjectionResult2& projection = program.projection2();
-    fit.degrees = {projection.degree_x, projection.degree_y};
-    fit.max_error = projection.max_error;
-    fit.l2_error = projection.l2_error;
-    fit.feasibility_gap = projection.feasibility_gap;
-    fit.clamped = projection.clamped;
-    fit.target_met = projection.target_met;
-    fit.max_coeff_delta = program.quantization2().max_coeff_delta;
-  } else {
-    const compile::ProjectionResult& projection = program.projection();
-    fit.degrees = {projection.degree};
-    fit.max_error = projection.max_error;
-    fit.l2_error = projection.l2_error;
-    fit.feasibility_gap = projection.feasibility_gap;
-    fit.clamped = projection.clamped;
-    fit.target_met = projection.target_met;
-    fit.max_coeff_delta = program.quantization().max_coeff_delta;
-  }
-  return fit;
-}
-
 /// FNV-1a over everything a reloaded record restores: the run program's
 /// coefficients, weights and axes, the kernel's per-axis orders and the
-/// elevation flag, the fit figures and every certificate field.
+/// elevation flag, the fit report and every certificate field.
 std::uint64_t content_digest(const compile::CompiledProgram& program) {
   Fnv1a d;
   const stochastic::SeparableProgram& run = program.program();
@@ -199,7 +150,7 @@ std::uint64_t content_digest(const compile::CompiledProgram& program) {
   for (std::size_t order : program.kernel()->orders()) d.u64(order);
   d.u8(program.elevated() ? 1 : 0);
 
-  const FitFigures fit = fit_figures(program);
+  const compile::FitReport& fit = program.report();
   for (std::size_t degree : fit.degrees) d.u64(degree);
   d.f64(fit.max_error).f64(fit.l2_error).f64(fit.feasibility_gap);
   d.u8(fit.clamped ? 1 : 0).u8(fit.target_met ? 1 : 0);
@@ -212,8 +163,11 @@ std::uint64_t content_digest(const compile::CompiledProgram& program) {
     d.f64(cert->op.probe_power_mw).f64(cert->op.ber).f64(cert->op.snr);
     d.f64(cert->op.threshold_mw).u64(cert->op.stream_length);
     d.u32(cert->op.sng_width);
-    d.u64(cert->stream_length).u64(cert->repeats).u64(cert->grid_points);
-    d.u8(cert->noise_enabled ? 1 : 0);
+    // The bits per evaluation and the noise switch are read a second time
+    // here, where cache format 1 stored copies of them, so the pinned
+    // values span both formats.
+    d.u64(cert->op.stream_length).u64(cert->repeats).u64(cert->grid_points);
+    d.u8(cert->op.noisy() ? 1 : 0);
     d.f64(cert->mc_mae).f64(cert->mc_mae_ci).f64(cert->mc_worst);
     d.f64(cert->electronic_mae).f64(cert->approx_max_error);
   }

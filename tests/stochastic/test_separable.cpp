@@ -118,7 +118,7 @@ TEST(SeparableProgramTest, ScCompatibilityChecksCoefficientsAndWeights) {
 
 TEST(SeparableProgramTest, ElevationPreservesValuesAndRaisesDegree) {
   const SeparableProgram program = trilinear();
-  const SeparableProgram elevated = program.elevated_to(3);
+  const SeparableProgram elevated = program.elevated_to({3});
   EXPECT_EQ(elevated.arity(), 3u);
   EXPECT_EQ(elevated.factor_degree(), 3u);
   for (const SeparableTerm& term : elevated.terms()) {
@@ -132,12 +132,24 @@ TEST(SeparableProgramTest, ElevationPreservesValuesAndRaisesDegree) {
       EXPECT_NEAR(elevated(point), program(point), 1e-12);
     }
   }
-  // Cannot elevate DOWN past an existing factor degree.
-  EXPECT_THROW(program.elevated_to(0), std::invalid_argument);
-  // Dense forms pass through unchanged (their kernels run at their own
-  // orders).
+  EXPECT_EQ(elevated.orders(), std::vector<std::size_t>{3});
+  // Cannot elevate DOWN past an existing factor degree, and the target
+  // names one order per kernel axis.
+  EXPECT_THROW((void)program.elevated_to({0}), std::invalid_argument);
+  EXPECT_THROW((void)program.elevated_to({3, 3}), std::invalid_argument);
+  // Dense forms elevate per axis, value-preserving.
   const SeparableProgram dense(BernsteinPoly({0.2, 0.8, 0.5}));
-  EXPECT_EQ(dense.elevated_to(5).factor_degree(), 2u);
+  EXPECT_EQ(dense.orders(), std::vector<std::size_t>{2});
+  const SeparableProgram dense_up = dense.elevated_to({5});
+  EXPECT_EQ(dense_up.orders(), std::vector<std::size_t>{5});
+  EXPECT_NEAR(dense_up({0.3}), dense({0.3}), 1e-12);
+  const SeparableProgram surface(
+      BernsteinPoly2(1, 0, std::vector<double>{0.25, 0.75}));
+  EXPECT_EQ(surface.orders(), (std::vector<std::size_t>{1, 0}));
+  const SeparableProgram surface_up = surface.elevated_to({1, 1});
+  EXPECT_EQ(surface_up.orders(), (std::vector<std::size_t>{1, 1}));
+  EXPECT_NEAR(surface_up({0.4, 0.9}), surface({0.4, 0.9}), 1e-12);
+  EXPECT_THROW((void)surface.elevated_to({1}), std::invalid_argument);
 }
 
 }  // namespace
