@@ -38,11 +38,8 @@ namespace {
 stochastic::SeparableProgram circuit_program(
     stochastic::SeparableProgram program) {
   std::vector<std::size_t> orders = program.orders();
-  if (std::find(orders.begin(), orders.end(), std::size_t{0}) ==
-      orders.end()) {
-    return program;
-  }
   for (std::size_t& order : orders) order = std::max<std::size_t>(order, 1);
+  if (orders == program.orders()) return program;
   return program.elevated_to(orders);
 }
 
