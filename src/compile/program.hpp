@@ -2,10 +2,10 @@
 /// \file program.hpp
 /// \brief Codegen stage of the function compiler: a CompiledProgram binds
 ///        the quantized program (any arity) and its fit report to an
-///        order-matched optical circuit with a prebuilt packed kernel, ready to run through
-///        PackedKernel::run_nd / BatchRunner with no further setup. Programs
-///        are immutable once certified and shared by const pointer out of
-///        the program cache.
+///        order-matched optical circuit with a prebuilt packed kernel,
+///        ready to run through PackedKernel::run_nd / BatchRunner with no
+///        further setup. Programs are immutable once certified and shared
+///        by const pointer out of the program cache.
 
 #include <algorithm>
 #include <cstddef>

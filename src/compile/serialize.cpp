@@ -244,6 +244,11 @@ void write_compiled_program(BinWriter& out, const CompiledProgram& program) {
 std::shared_ptr<const CompiledProgram> read_compiled_program(BinReader& in) {
   ProgramKey key = read_program_key(in);
   stochastic::SeparableProgram run = read_program(in, key.width);
+  if (run.arity() != key.arity) {
+    throw BinIoError("serialize: program arity " + std::to_string(run.arity()) +
+                     " does not match its key's arity " +
+                     std::to_string(key.arity));
+  }
   FitReport report = read_fit_report(in);
   auto program = std::make_shared<CompiledProgram>(
       std::move(key), std::move(run), std::move(report));

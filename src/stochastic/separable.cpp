@@ -152,8 +152,8 @@ SeparableProgram SeparableProgram::elevated_to(
     out.weight = term.weight;
     out.factors.reserve(term.factors.size());
     for (const SeparableFactor& factor : term.factors) {
-      out.factors.push_back(
-          {factor.axis, factor.poly.elevated(orders[0] - factor.poly.degree())});
+      out.factors.push_back({factor.axis, factor.poly.elevated(
+                                             orders[0] - factor.poly.degree())});
     }
     elevated.push_back(std::move(out));
   }

@@ -1,17 +1,20 @@
 /// Serialization tests: write/read round trips for the key, the program
-/// codec (every form), the fit report and the certificate, the pinned portable cache-identity digests (the
-/// regression fence against std::hash-style drift between builds and
-/// platforms), and the corruption contract - truncated, bit-flipped,
-/// bad-magic, version-mismatched and out-of-range cache files must all
+/// codec (every form), the fit report and the certificate, the pinned
+/// portable cache-identity digests (the regression fence against
+/// std::hash-style drift between builds and platforms), and the
+/// corruption contract - truncated, bit-flipped, bad-magic,
+/// version-mismatched, off-grid and out-of-range cache files must all
 /// degrade to counted load errors, never a crash or a throw out of
 /// ProgramCache::load.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "compile/cache.hpp"
@@ -175,6 +178,19 @@ TEST(SerializeProgram, UnknownFormTagRejected) {
   bytes[0] = 9;  // no such layout
   BinReader in(bytes);
   EXPECT_THROW((void)read_program(in, program->key().width), BinIoError);
+}
+
+TEST(SerializeProgram, ProgramArityMustMatchItsKey) {
+  const auto program = sample_univariate(fast_options());
+  ProgramKey key = program->key();
+  key.arity = 2;
+  BinWriter out;
+  write_program_key(out, key);
+  write_program(out, program->program());
+  write_fit_report(out, program->report());
+  out.u8(0);  // no certificate
+  BinReader in(out.data());
+  EXPECT_THROW((void)read_compiled_program(in), BinIoError);
 }
 
 TEST(SerializeStructs, ProgramCodecRoundTripsEveryForm) {
@@ -416,8 +432,8 @@ TEST(CacheFile, OffGridCoefficientIsCountedLoadErrorThenColdCompiles) {
                               : coeffs[0] + std::ldexp(1.0, -20);
   BinWriter payload;
   write_program_key(payload, program->key());
-  write_program(payload,
-                stochastic::SeparableProgram(stochastic::BernsteinPoly(coeffs)));
+  write_program(payload, stochastic::SeparableProgram(
+                             stochastic::BernsteinPoly(std::move(coeffs))));
   write_fit_report(payload, program->report());
   payload.u8(0);  // no certificate
 
